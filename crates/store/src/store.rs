@@ -7,7 +7,7 @@ use solero::{BoxedStrategy, Fault, SyncStrategy};
 use solero_heap::Heap;
 use solero_runtime::stats::StatsSnapshot;
 
-use crate::shard::{Shard, ShardOp};
+use crate::shard::{runs, Shard, ShardOp};
 
 /// Store shape: key space, shard count, COW granularity.
 ///
@@ -284,22 +284,28 @@ impl KvStore {
     ///
     /// # Errors
     ///
-    /// Genuine heap faults only.
+    /// Genuine heap faults only. The shard whose group faults installs
+    /// none of it and keeps its version; the groups of lower shards
+    /// stay installed.
     ///
     /// # Panics
     ///
     /// If any key is out of range, or the heap is exhausted.
     pub fn put_many(&self, ops: &[(i64, i64)]) -> Result<(), Fault> {
+        // One buffer sorted by key: `runs` cuts it into one contiguous
+        // group per shard, already in the key order the shard needs, and
+        // the stable sort keeps a later op on a key later, so it wins.
         let span = self.cfg.span();
-        let mut by_shard: Vec<Vec<ShardOp>> = vec![Vec::new(); self.shards.len()];
-        for &(key, value) in ops {
-            self.check_key(key);
-            by_shard[(key / span) as usize].push((key, Some(value)));
-        }
-        for (s, group) in by_shard.iter().enumerate() {
-            if !group.is_empty() {
-                self.shards[s].apply(&self.heap, group)?;
-            }
+        let mut routed: Vec<ShardOp> = ops
+            .iter()
+            .map(|&(key, value)| {
+                self.check_key(key);
+                (key, Some(value))
+            })
+            .collect();
+        routed.sort_by_key(|&(key, _)| key);
+        for group in runs(&routed, 0, span) {
+            self.shards[(group[0].0 / span) as usize].apply(&self.heap, group)?;
         }
         Ok(())
     }
@@ -459,6 +465,55 @@ mod tests {
                 .map(|(&k, &v)| (k, v))
                 .collect();
             assert_eq!(store.scan(lo, n).unwrap(), expect);
+        });
+    }
+
+    #[test]
+    fn put_many_batches_match_a_model_map() {
+        use solero_testkit::forall;
+        forall(48, 0x5EED_5702, |g| {
+            let store = KvStore::new(small(), SoleroStrategy::new);
+            let live = store.heap().live_objects();
+            let mut model = std::collections::BTreeMap::new();
+            for _ in 0..g.rng().gen_range(1..40usize) {
+                if g.rng().gen_range(0..5u32) == 0 {
+                    // Removes leave absent slots for later batches to
+                    // write around.
+                    let k = g.rng().gen_range(0..256i64);
+                    assert_eq!(store.remove(k).unwrap(), model.remove(&k));
+                } else {
+                    // Keys in random order across shards and buckets; a
+                    // narrow window makes duplicates in one batch common,
+                    // and a quarter of the batches hold a single key.
+                    let len = if g.rng().gen_range(0..4u32) == 0 {
+                        1
+                    } else {
+                        g.rng().gen_range(2..64usize)
+                    };
+                    let lo = g.rng().gen_range(0..256i64);
+                    let hi = g.rng().gen_range(lo + 1..=256i64);
+                    let batch: Vec<(i64, i64)> = (0..len)
+                        .map(|_| (g.rng().gen_range(lo..hi), g.rng().gen::<i64>()))
+                        .collect();
+                    store.put_many(&batch).unwrap();
+                    // Later duplicates win.
+                    model.extend(batch.iter().copied());
+                }
+                let cut = store.checkpoint().unwrap();
+                let got: Vec<(i64, i64)> = cut
+                    .shards
+                    .iter()
+                    .flat_map(|s| s.pairs.iter().copied())
+                    .collect();
+                let want: Vec<(i64, i64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(got, want);
+                assert_eq!(
+                    store.heap().live_objects(),
+                    live,
+                    "a batch leaked or lost buckets"
+                );
+            }
+            store.heap().check_integrity().unwrap();
         });
     }
 

@@ -230,4 +230,13 @@ cargo run -q --offline -p solero-bench --bin bench_compact -- \
     --quick --out results/BENCH_compact_quick.json 2> /dev/null
 test -s results/BENCH_compact_quick.json
 
+# The benchmark (perfbench/, a workspace of its own on path
+# dependencies) checks the library from outside: its unit tests, the
+# pinned op-stream digests and a `--quick` smoke of all four workloads,
+# each of which checks every result and the teardown invariants. A
+# library change that breaks any of them fails here, not only when the
+# benchmark is next run.
+echo "== tier-1: benchmark unit tests, digests and quick smoke =="
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1 green =="
