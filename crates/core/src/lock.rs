@@ -311,6 +311,55 @@ impl SoleroLock {
         t
     }
 
+    /// Acquires the lock for a read section the adaptive policy
+    /// forfeited. The section runs under the real lock, like an
+    /// unelided read, but it first waits out a flat holder on the read
+    /// side's spin tiers (Figure 8), as a speculative read section
+    /// does, instead of going straight to the writer path, whose
+    /// contention manager may park it.
+    ///
+    /// While a forfeit window lasts, every reader of the lock takes
+    /// this path. Had forfeited readers contended as writers, the loser
+    /// would park and inflate the lock, the next speculating reader
+    /// would book an `inflation` abort and forfeit again, and readers
+    /// alone would keep the lock fat and elision disabled after the
+    /// writers had gone. An inflated or contended word, recursion, or a
+    /// holder that outlasts the spin tiers still goes through
+    /// [`enter_write`](Self::enter_write).
+    pub(crate) fn enter_forfeited(&self, tid: ThreadId) -> WriteTicket {
+        let flat = self.config.spin.run(|| {
+            let v = SoleroWord(self.word.load(Ordering::Acquire));
+            if v.is_elidable() {
+                if self
+                    .word
+                    .compare_exchange(
+                        v.raw(),
+                        SoleroWord::held_by(tid).raw(),
+                        Ordering::AcqRel,
+                        Ordering::Relaxed,
+                    )
+                    .is_ok()
+                {
+                    return Probe::Done(Some(v.raw()));
+                }
+                Probe::Retry
+            } else if v.needs_monitor() || v.tid() == Some(tid) {
+                Probe::Done(None)
+            } else {
+                Probe::Retry
+            }
+        });
+        match flat {
+            Some(Some(v1)) => {
+                self.stats.write_enters.fetch_add(1, Ordering::Relaxed);
+                self.saved_v1.store(v1, Ordering::Relaxed);
+                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
+                WriteTicket { v1 }
+            }
+            _ => self.enter_write(tid),
+        }
+    }
+
     /// Releases a writing critical section (Figure 6, lines 15–21).
     ///
     /// # Panics

@@ -128,7 +128,7 @@ impl SoleroLock {
     ) -> Result<R, Fault> {
         self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
         if self.config.elision == ElisionMode::NoElide {
-            return self.read_unelided(f);
+            return self.read_unelided(false, f);
         }
         // Adaptive consult: a forfeited entry acquires instead of
         // speculating. No speculation starts, so this is NOT an abort —
@@ -140,7 +140,7 @@ impl SoleroLock {
                 if rearmed {
                     self.stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
                 }
-                return self.read_unelided(f);
+                return self.read_unelided(true, f);
             }
         }
         // Figure 7, lines 1–8, inlined.
@@ -174,14 +174,21 @@ impl SoleroLock {
     }
 
     /// Unelided-SOLERO: execute the read section as a writing critical
-    /// section (the Figure 10 ablation).
+    /// section (the Figure 10 ablation). A section the adaptive policy
+    /// `forfeited` runs the same way but acquires through
+    /// [`SoleroLock::enter_forfeited`].
     #[cold]
     fn read_unelided<R>(
         &self,
+        forfeited: bool,
         mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let tid = ThreadId::current();
-        let t = self.enter_write(tid);
+        let t = if forfeited {
+            self.enter_forfeited(tid)
+        } else {
+            self.enter_write(tid)
+        };
         let v1 = t.v1;
         let mut s = ReadSession::new(self, v1, true);
         let r = f(&mut s);

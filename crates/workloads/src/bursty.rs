@@ -18,7 +18,7 @@
 //! `BENCH_adaptive.json` and the floor/ceiling assertions in
 //! `tests/adaptive_policy_stress.rs`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use solero::{BoxedStrategy, Fault};
 use solero_obs::json::JsonObject;
@@ -187,24 +187,34 @@ impl BurstyBench {
     }
 
     /// Runs one phase to completion (each reader performs its
-    /// `reads_per_phase` sections; burst writers run until the readers
-    /// finish) and returns that phase's stats delta.
+    /// `reads_per_phase` sections; burst writers run until the last
+    /// reader finishes) and returns that phase's stats delta.
+    ///
+    /// A burst measures something only while its writers are running,
+    /// so readers start once every writer has completed one write
+    /// section, and the writers stop once every reader is done. Without
+    /// the gate a reader can run its whole phase while the writer
+    /// threads are still being spawned; without the count the first
+    /// reader to finish would end the burst for the others.
     pub fn run_phase(&self, phase: Phase, seed: u64) -> PhaseReport {
         let before = self.strat.snapshot();
-        let stop = AtomicBool::new(false);
         let writers = match phase {
             Phase::Quiet => 0,
             Phase::Burst => self.cfg.writers,
         };
+        let writers_in = AtomicUsize::new(0);
+        let readers_left = AtomicUsize::new(self.cfg.readers);
         std::thread::scope(|s| {
             for w in 0..writers {
-                let stop = &stop;
+                let writers_in = &writers_in;
+                let readers_left = &readers_left;
                 let strat = &self.strat;
                 let cells = &self.cells;
                 let hold = self.cfg.writer_hold_spin;
                 let mut rng = TestRng::seed_from_u64(seed ^ (0xB065_7000 + w as u64));
                 s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
+                    let mut first = true;
+                    while readers_left.load(Ordering::Relaxed) > 0 {
                         let k = rng.gen_range(0..cells.len());
                         strat.write_with(|| {
                             // Hold the lock hot: the spin sets the duty
@@ -215,16 +225,24 @@ impl BurstyBench {
                             }
                             cells[k].fetch_add(1, Ordering::Relaxed);
                         });
+                        if first {
+                            first = false;
+                            writers_in.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 });
             }
             for r in 0..self.cfg.readers {
-                let stop = &stop;
+                let writers_in = &writers_in;
+                let readers_left = &readers_left;
                 let strat = &self.strat;
                 let cells = &self.cells;
                 let reads = self.cfg.reads_per_phase;
                 let mut rng = TestRng::seed_from_u64(seed ^ (0x5EAD_E000 + r as u64));
                 s.spawn(move || {
+                    while writers_in.load(Ordering::Relaxed) < writers {
+                        std::thread::yield_now();
+                    }
                     for _ in 0..reads {
                         let a = rng.gen_range(0..cells.len());
                         let b = rng.gen_range(0..cells.len());
@@ -237,7 +255,7 @@ impl BurstyBench {
                             })
                             .expect("pure reads cannot genuinely fault");
                     }
-                    stop.store(true, Ordering::Relaxed);
+                    readers_left.fetch_sub(1, Ordering::Relaxed);
                 });
             }
         });
