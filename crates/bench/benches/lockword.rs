@@ -7,13 +7,13 @@ use solero_testkit::bench::{black_box, Criterion};
 use solero_testkit::{criterion_group, criterion_main};
 use solero::{Fault, SoleroLock};
 use solero_runtime::thread::ThreadId;
-use solero_runtime::word::{ConvWord, SoleroWord};
+use solero_runtime::word::{CompactWord, ConvWord};
 use solero_tasuki::TasukiLock;
 
 fn word_ops(c: &mut Criterion) {
     let tid = ThreadId::current();
     c.bench_function("word/solero_decode", |b| {
-        let w = SoleroWord::held_by(tid).recurse();
+        let w = CompactWord::held_by(CompactWord::INIT, tid).recurse();
         b.iter(|| {
             let w = black_box(w);
             black_box((w.is_elidable(), w.recursion(), w.tid()))

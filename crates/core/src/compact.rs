@@ -1,44 +1,43 @@
 //! Compact per-object locks over the global monitor table.
 //!
 //! This is the Compact Java Monitors design (Dice & Kogan, arXiv
-//! 2102.04188) grafted onto the SOLERO elision protocol: the per-object
-//! lock state shrinks to a **single eight-byte word** — the
-//! [`CompactWord`] layout keeps the sequence counter *inside* the held
-//! word, so there is no out-of-band `saved_v1` cell, no per-lock config,
-//! no per-lock stats — and everything inflated, contended, or waiting
-//! lives in the process-global [`MonitorTable`], keyed by the word's
-//! address plus an allocation generation.
+//! 2102.04188) under the SOLERO elision protocol: the per-object lock
+//! state is a **single eight-byte word** — the [`CompactWord`] layout
+//! keeps the sequence counter *inside* the held word, so there is no
+//! side cell, no per-lock config, no per-lock stats — and everything
+//! inflated, contended, or waiting lives in the process-global
+//! [`MonitorTable`], keyed by the word's address plus an allocation
+//! generation.
 //!
 //! The split is deliberate: a heap of millions of mostly-uncontended
 //! objects pays eight bytes per object, while the handful that actually
 //! inflate pay for a monitor only while contended — deflation prunes the
-//! table entry again (see [`SoleroLock`](crate::SoleroLock)'s `exit_fat`
-//! for the removal-ordering argument, which this module shares).
+//! table entry again.
 //!
 //! Shared knobs and counters live in a [`CompactSpace`], one per lock
 //! *population* (a heap, a bench fleet, a test): operations go through a
-//! [`CompactRef`], which borrows the space and the word.
+//! [`CompactRef`], which borrows the space and the word. A
+//! [`SoleroLock`](crate::SoleroLock) is the same word with a space of
+//! its own, and it runs the same protocol: Figures 6–9 and 17 are
+//! written once, as methods of [`CompactRef`] — the write side,
+//! inflation and deflation in `lock.rs`, the elided read driver in
+//! `read.rs` — and the public methods here delegate to them.
 //!
-//! The space carries no adaptive policy: per-lock abort histories are
-//! precisely the per-object state this layout exists to avoid. Adaptive
-//! elision remains a [`SoleroLock`](crate::SoleroLock) feature.
-
-use std::sync::Arc;
+//! A shared space carries no adaptive policy: per-lock abort histories
+//! are precisely the per-object state this layout exists to avoid.
+//! Adaptive elision remains a [`SoleroLock`](crate::SoleroLock) feature.
 
 use solero_sync::atomic::{AtomicU64, Ordering};
 
-use solero_obs::{AbortReason, EventKind, LockEvent, RecentAborts};
+use solero_obs::RecentAborts;
 use solero_runtime::fault::Fault;
-use solero_runtime::osmonitor::{MonitorKey, MonitorTable, OsMonitor};
-use solero_runtime::spin::Probe;
+use solero_runtime::osmonitor::{MonitorKey, MonitorTable};
 use solero_runtime::stats::LockStats;
 use solero_runtime::thread::ThreadId;
-use solero_runtime::word::{
-    CompactWord, COMPACT_CTR_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP,
-};
+use solero_runtime::word::CompactWord;
 
-use crate::config::{ElisionMode, SoleroConfig};
-use crate::lock::FLC_RECHECK;
+use crate::adaptive::AdaptivePolicy;
+use crate::config::SoleroConfig;
 
 /// Shared configuration and statistics for a population of compact
 /// locks.
@@ -122,6 +121,7 @@ impl CompactSpace {
             space: self,
             word,
             key,
+            policy: None,
         }
     }
 
@@ -190,11 +190,18 @@ impl Drop for CompactLock {
 
 /// Operation handle: a compact lock word bound to its
 /// [`CompactSpace`]. Cheap to construct on every use.
+///
+/// This is also the one implementation of the SOLERO protocol: a
+/// [`SoleroLock`](crate::SoleroLock) hands out a handle over its own
+/// word, space and adaptive policy and delegates every operation to it.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactRef<'a> {
-    space: &'a CompactSpace,
-    word: &'a AtomicU64,
-    key: MonitorKey,
+    pub(crate) space: &'a CompactSpace,
+    pub(crate) word: &'a AtomicU64,
+    pub(crate) key: MonitorKey,
+    /// The owning lock's adaptive policy; `None` for a word bound
+    /// through a shared [`CompactSpace`].
+    pub(crate) policy: Option<&'a AdaptivePolicy>,
 }
 
 impl<'a> CompactRef<'a> {
@@ -222,6 +229,9 @@ impl<'a> CompactRef<'a> {
     pub fn is_locked(&self) -> bool {
         let w = self.raw_word();
         if w.is_inflated() {
+            // Lookup-only: an absent entry means a deflation is mid-
+            // publish — the thin word is about to appear, and a fresh
+            // monitor would be unowned anyway.
             self.monitor_existing().is_some_and(|m| m.is_owned())
         } else {
             w.is_held_flat()
@@ -238,67 +248,18 @@ impl<'a> CompactRef<'a> {
         }
     }
 
-    #[inline]
-    fn obs_id(&self) -> u64 {
-        self.key.addr as u64
-    }
-
-    fn monitor_existing(&self) -> Option<Arc<OsMonitor>> {
-        MonitorTable::global().existing(self.key)
-    }
-
-    /// Books one aborted speculative read attempt; replicates
-    /// `SoleroLock::note_abort` minus the adaptive-policy hook, so the
-    /// space-wide taxonomy invariant holds.
-    #[cold]
-    fn note_abort(&self, reason: AbortReason) {
-        let stats = &self.space.stats;
-        stats.read_aborts.fetch_add(1, Ordering::Relaxed);
-        let counter = match reason {
-            AbortReason::LockedAtEntry => &stats.abort_locked_at_entry,
-            AbortReason::WordChangedAtExit => &stats.abort_word_changed_at_exit,
-            AbortReason::AsyncRevalidationFail => &stats.abort_async_revalidation,
-            AbortReason::RetryExhaustedFallback => &stats.abort_retry_exhausted,
-            AbortReason::Inflation => &stats.abort_inflation,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.space.recent.note(reason);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Abort(reason)));
-    }
-
     /// Runs `f` as a writing critical section.
+    #[inline]
     pub fn write<R>(&self, f: impl FnOnce() -> R) -> R {
-        let tid = ThreadId::current();
-        self.enter_write(tid);
-        let r = f();
-        self.exit_write(tid);
-        r
+        self.write_section(f)
     }
 
     /// Acquires the lock for writing. Unlike
     /// [`SoleroLock::enter_write`](crate::SoleroLock::enter_write) there
-    /// is no ticket: the displaced counter rides inside the held word,
-    /// which is the compact layout's point.
+    /// is no ticket to carry back: the displaced counter rides inside
+    /// the held word, which is the compact layout's point.
     pub fn enter_write(&self, tid: ThreadId) {
-        self.space.stats.write_enters.fetch_add(1, Ordering::Relaxed);
-        let v1 = CompactWord(self.word.load(Ordering::Relaxed));
-        if v1.is_elidable()
-            && self
-                .word
-                .compare_exchange(
-                    v1.raw(),
-                    CompactWord::held_by(v1, tid).raw(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-        {
-            self.space.stats.write_fast.fetch_add(1, Ordering::Relaxed);
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
-            return;
-        }
-        self.slow_enter_write(tid);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
+        self.acquire(tid)
     }
 
     /// Releases a writing critical section.
@@ -307,303 +268,14 @@ impl<'a> CompactRef<'a> {
     ///
     /// Debug-asserts that `tid` holds the lock.
     pub fn exit_write(&self, tid: ThreadId) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteRelease));
-        let v2 = CompactWord(self.word.load(Ordering::Relaxed));
-        if v2.fast_releasable() {
-            debug_assert_eq!(v2.tid(), Some(tid), "release by non-owner");
-            self.word.store(v2.release_word().raw(), Ordering::Release);
-            return;
-        }
-        self.slow_exit_write(tid, v2);
-    }
-
-    #[cold]
-    fn slow_enter_write(&self, tid: ThreadId) {
-        loop {
-            let v = CompactWord(self.word.load(Ordering::Acquire));
-            if v.is_inflated() {
-                if self.enter_fat(tid) {
-                    return;
-                }
-                continue;
-            }
-            if v.tid() == Some(tid) {
-                // Recursive flat acquisition.
-                if v.recursion() == SOLERO_RECURSION_MAX {
-                    self.inflate_held(tid, v);
-                    // The new level, on the now-tabled monitor.
-                    MonitorTable::global()
-                        .existing(self.key)
-                        .expect("inflate_held tables the monitor")
-                        .enter(tid);
-                    return;
-                }
-                self.word.fetch_add(SOLERO_RECURSION_STEP, Ordering::Relaxed);
-                self.space
-                    .stats
-                    .recursive_enters
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            if v.is_elidable() {
-                if self
-                    .word
-                    .compare_exchange(
-                        v.raw(),
-                        CompactWord::held_by(v, tid).raw(),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    return;
-                }
-                continue;
-            }
-            // Held by another thread (or FLC pending): probe under the
-            // history-keyed contention manager, then park.
-            let spun = self.space.config.contention.run_observed(
-                || {
-                    let v = CompactWord(self.word.load(Ordering::Acquire));
-                    if v.is_elidable() {
-                        if self
-                            .word
-                            .compare_exchange(
-                                v.raw(),
-                                CompactWord::held_by(v, tid).raw(),
-                                Ordering::AcqRel,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            return Probe::Done(true);
-                        }
-                    } else if v.needs_monitor() {
-                        return Probe::Done(false);
-                    }
-                    Probe::Retry
-                },
-                |_| {
-                    self.space
-                        .stats
-                        .contention_backoffs
-                        .fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            match spun {
-                Some(true) => return,
-                Some(false) | None => {
-                    if self.enter_via_monitor(tid) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fat-mode entry with the binding check of `SoleroLock::enter_fat`:
-    /// resolve the tabled monitor, take it, confirm the word still names
-    /// that monitor's id.
-    fn enter_fat(&self, tid: ThreadId) -> bool {
-        let Some(m) = self.monitor_existing() else {
-            return false;
-        };
-        m.enter(tid);
-        let v = CompactWord(self.word.load(Ordering::Acquire));
-        if v.monitor_id() == Some(m.id()) {
-            self.space
-                .stats
-                .monitor_enters
-                .fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            m.exit(tid);
-            false
-        }
-    }
-
-    /// FLC protocol under the monitor, with the staleness discipline of
-    /// `SoleroLock::enter_via_monitor`: every iteration re-verifies the
-    /// key→monitor binding (ownership pins it) and inflated words are
-    /// only trusted when their id matches the owned monitor.
-    fn enter_via_monitor(&self, tid: ThreadId) -> bool {
-        let table = MonitorTable::global();
-        let m = table.monitor_for(self.key);
-        m.enter(tid);
-        loop {
-            if !table.is_current(self.key, &m) {
-                m.exit(tid);
-                return false;
-            }
-            let v = CompactWord(self.word.load(Ordering::Acquire));
-            if v.is_inflated() {
-                if v.monitor_id() == Some(m.id()) {
-                    self.space
-                        .stats
-                        .monitor_enters
-                        .fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                m.exit(tid);
-                return false;
-            }
-            if !v.is_held_flat() {
-                // Free counter word (FLC possibly set): inflate. The
-                // displaced value advances the in-word counter one step
-                // past anything a speculative reader may have captured.
-                let displaced = v.release_word().raw();
-                if self
-                    .word
-                    .compare_exchange(
-                        v.raw(),
-                        CompactWord::inflated(m.id()).raw(),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    m.set_displaced(displaced);
-                    self.space.stats.inflations.fetch_add(1, Ordering::Relaxed);
-                    self.space
-                        .stats
-                        .monitor_enters
-                        .fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                continue;
-            }
-            // Held flat by another thread: publish contention and park.
-            if v.has_flc()
-                || self
-                    .word
-                    .compare_exchange(
-                        v.raw(),
-                        v.with_flc().raw(),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                self.space.stats.flc_waits.fetch_add(1, Ordering::Relaxed);
-                m.wait_timeout(tid, FLC_RECHECK);
-            }
-        }
-    }
-
-    /// Inflates while `tid` holds the flat lock (recursion saturation).
-    /// The displaced counter comes straight out of the held word — the
-    /// `saved_v1` side cell the [`SoleroWord`] layout needs does not
-    /// exist here.
-    ///
-    /// [`SoleroWord`]: solero_runtime::word::SoleroWord
-    fn inflate_held(&self, tid: ThreadId, v: CompactWord) {
-        debug_assert_eq!(v.tid(), Some(tid));
-        let m = MonitorTable::global().monitor_for(self.key);
-        m.enter(tid);
-        for _ in 0..v.recursion() {
-            m.enter(tid);
-        }
-        m.set_displaced(v.release_word().raw());
-        self.word
-            .store(CompactWord::inflated(m.id()).raw(), Ordering::Release);
-        self.space.stats.inflations.fetch_add(1, Ordering::Relaxed);
-        m.notify_all();
-    }
-
-    #[cold]
-    fn slow_exit_write(&self, tid: ThreadId, v: CompactWord) {
-        if v.is_inflated() {
-            // A fat *writing* release advances the displaced counter so
-            // deflation never republishes a captured value.
-            let m = self
-                .monitor_existing()
-                .expect("fat owner's monitor must be tabled");
-            debug_assert!(m.owned_by(tid), "fat release by non-owner");
-            m.bump_displaced(COMPACT_CTR_STEP);
-            self.exit_fat(tid);
-            return;
-        }
-        debug_assert_eq!(v.tid(), Some(tid), "release by non-owner");
-        if v.recursion() > 0 {
-            self.word.fetch_sub(SOLERO_RECURSION_STEP, Ordering::Release);
-            return;
-        }
-        // FLC set while we held the lock: release under the monitor and
-        // wake contenders; lookup-only, as in `SoleroLock`.
-        debug_assert!(v.has_flc());
-        match self.monitor_existing() {
-            Some(m) => {
-                m.enter(tid);
-                self.word.store(v.release_word().raw(), Ordering::Release);
-                m.notify_all();
-                m.exit(tid);
-            }
-            None => self.word.store(v.release_word().raw(), Ordering::Release),
-        }
-    }
-
-    /// Final fat release: deflate when uncontended — prune the table
-    /// entry **first**, then publish the displaced counter (same
-    /// ordering argument as `SoleroLock::exit_fat`).
-    fn exit_fat(&self, tid: ThreadId) {
-        let table = MonitorTable::global();
-        let m = table
-            .existing(self.key)
-            .expect("fat owner's monitor must be tabled");
-        debug_assert!(m.owned_by(tid), "fat release by non-owner");
-        if m.depth(tid) == 1 && m.idle_for_deflation() {
-            let removed = table.remove_if(self.key, &m);
-            debug_assert!(removed, "deflater's binding must still be current");
-            self.word.store(m.displaced(), Ordering::Release);
-            self.space.stats.deflations.fetch_add(1, Ordering::Relaxed);
-            m.notify_all();
-        } else {
-            // Handoff republish: a fat exit that does NOT deflate leaves
-            // the inflated word untouched, so the next fat enterer's
-            // acquire load of the word would otherwise synchronize with
-            // the *inflater's* store — not with this section's writes.
-            // The monitor's own mutex orders the handoff on real
-            // hardware, but the release edge must also travel through
-            // the word so the protocol is self-contained (and visible to
-            // the model checker): republish the same inflated value as
-            // an RMW before surrendering ownership.
-            self.word.fetch_add(0, Ordering::AcqRel);
-        }
-        m.exit(tid);
-    }
-
-    /// Releases a read section that ended up holding the lock (fat,
-    /// recursive, or thin with pending FLC) — the held arm of
-    /// `SoleroLock::slow_read_exit`. Read releases of fat locks do not
-    /// bump the displaced counter (nothing was written).
-    fn exit_read_held(&self, tid: ThreadId) {
-        let v = CompactWord(self.word.load(Ordering::Acquire));
-        if v.is_inflated() {
-            self.exit_fat(tid);
-            return;
-        }
-        debug_assert_eq!(v.tid(), Some(tid), "read release by non-owner");
-        if v.recursion() > 0 {
-            self.word.fetch_sub(SOLERO_RECURSION_STEP, Ordering::Release);
-            return;
-        }
-        match (v.has_flc(), self.monitor_existing()) {
-            (true, Some(m)) => {
-                m.enter(tid);
-                self.word.store(v.release_word().raw(), Ordering::Release);
-                m.notify_all();
-                m.exit(tid);
-            }
-            _ => self.word.store(v.release_word().raw(), Ordering::Release),
-        }
+        self.release(tid)
     }
 
     /// Runs `f` as a **read-only critical section**, eliding the lock
-    /// when possible — the Figures 7–9 protocol with the same statistics
-    /// semantics as [`SoleroLock::read_only`](crate::SoleroLock::read_only),
-    /// booked space-wide. Compact sections are plain closures: there is
-    /// no [`ReadSession`](crate::ReadSession) (no check-points, no
-    /// read-mostly upgrade) — sections needing those belong on a
+    /// when possible — the protocol and statistics of
+    /// [`SoleroLock::read_only`](crate::SoleroLock::read_only), booked
+    /// space-wide. Compact sections are plain closures: a section that
+    /// polls check-points or upgrades in place belongs on a
     /// `SoleroLock`.
     ///
     /// # Errors
@@ -612,116 +284,9 @@ impl<'a> CompactRef<'a> {
     /// were provably consistent); speculation artifacts are recovered by
     /// re-execution, falling back to acquisition after
     /// `fallback_threshold` failures.
+    #[inline]
     pub fn read_only<R>(&self, mut f: impl FnMut() -> Result<R, Fault>) -> Result<R, Fault> {
-        let stats = &self.space.stats;
-        let config = &self.space.config;
-        stats.read_enters.fetch_add(1, Ordering::Relaxed);
-        if config.elision == ElisionMode::NoElide {
-            let tid = ThreadId::current();
-            self.enter_write(tid);
-            let r = f();
-            self.exit_write(tid);
-            return r;
-        }
-        let mut failures = 0u32;
-        loop {
-            if failures >= config.fallback_threshold {
-                // Starvation freedom: acquire and run non-speculatively.
-                stats.fallback_acquires.fetch_add(1, Ordering::Relaxed);
-                self.note_abort(AbortReason::RetryExhaustedFallback);
-                let tid = ThreadId::current();
-                self.slow_enter_write(tid);
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::FallbackAcquire));
-                let r = f();
-                self.exit_read_held(tid);
-                return r;
-            }
-            let v = CompactWord(self.word.load(Ordering::Acquire));
-            if v.is_elidable() {
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-                config.barrier.read_entry_fence();
-                let out = f();
-                match out {
-                    Ok(r) => {
-                        config.barrier.read_exit_fence();
-                        if self.word.load(Ordering::Acquire) == v.raw() {
-                            stats.elision_success.fetch_add(1, Ordering::Relaxed);
-                            return Ok(r);
-                        }
-                        stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                        self.note_abort(AbortReason::WordChangedAtExit);
-                        failures += 1;
-                    }
-                    Err(fault) => {
-                        // Catch-block validation (§3.3): unchanged word
-                        // means the reads were consistent — genuine.
-                        if !fault.is_artifact_only()
-                            && self.word.load(Ordering::Acquire) == v.raw()
-                        {
-                            return Err(fault);
-                        }
-                        stats.speculative_faults.fetch_add(1, Ordering::Relaxed);
-                        stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                        self.note_abort(if fault == Fault::Inconsistent {
-                            AbortReason::AsyncRevalidationFail
-                        } else {
-                            AbortReason::WordChangedAtExit
-                        });
-                        failures += 1;
-                    }
-                }
-                continue;
-            }
-            // Busy at entry (Figure 8). Self-recursion runs under the
-            // already-held flat lock.
-            let tid = ThreadId::current();
-            if !v.is_inflated() && v.tid() == Some(tid) {
-                if v.recursion() == SOLERO_RECURSION_MAX {
-                    self.inflate_held(tid, v);
-                    MonitorTable::global()
-                        .existing(self.key)
-                        .expect("inflate_held tables the monitor")
-                        .enter(tid);
-                } else {
-                    self.word.fetch_add(SOLERO_RECURSION_STEP, Ordering::Relaxed);
-                    stats.recursive_enters.fetch_add(1, Ordering::Relaxed);
-                }
-                let r = f();
-                self.exit_read_held(tid);
-                return r;
-            }
-            stats.read_slow_enters.fetch_add(1, Ordering::Relaxed);
-            // Three-tier wait for the word to free up.
-            let spun = config.spin.run(|| {
-                let w = CompactWord(self.word.load(Ordering::Acquire));
-                if w.is_elidable() {
-                    Probe::Done(true)
-                } else if w.needs_monitor() {
-                    Probe::Done(false)
-                } else {
-                    Probe::Retry
-                }
-            });
-            match spun {
-                Some(true) => {
-                    // Freed up: speculation had to wait to (re)start.
-                    self.note_abort(AbortReason::LockedAtEntry);
-                    continue;
-                }
-                Some(false) | None => {
-                    // Inflated or contended: run under the fat lock. A
-                    // deflate racing us can orphan the binding we
-                    // resolved; re-resolving converges (and inflates a
-                    // word that went free, the contender-finds-free
-                    // behaviour the protocol wants).
-                    self.note_abort(AbortReason::Inflation);
-                    while !self.enter_via_monitor(tid) {}
-                    let r = f();
-                    self.exit_read_held(tid);
-                    return r;
-                }
-            }
-        }
+        self.read_section(move |_| f())
     }
 }
 
@@ -729,6 +294,7 @@ impl<'a> CompactRef<'a> {
 mod tests {
     use super::*;
     use solero_runtime::spin::SpinConfig;
+    use solero_runtime::word::SOLERO_RECURSION_MAX;
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
     use std::sync::atomic::Ordering as StdOrdering;
 

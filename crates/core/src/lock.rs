@@ -1,16 +1,21 @@
-//! The SOLERO lock: state, write-side paths, inflation and deflation.
+//! The SOLERO lock, and the write side of its protocol: acquisition,
+//! release, inflation and deflation.
 //!
 //! The write-side fast paths follow the paper's Figure 6:
 //!
 //! * **acquire**: load the word; if the low three bits are clear, CAS in
-//!   `tid | LOCK_BIT`, keeping the pre-CAS word (the *local lock
-//!   variable* `v1`) until release; otherwise take the slow path;
-//! * **release**: if `(word & 0xff) == LOCK_BIT`, store `v1 + 0x100` —
-//!   the sequence counter advances so concurrent speculative readers
-//!   observe a changed value.
+//!   `tid | LOCK_BIT` beside the counter; otherwise take the slow path;
+//! * **release**: if `(word & 0xff) == LOCK_BIT`, store the held word's
+//!   counter plus one step — the sequence counter advances so
+//!   concurrent speculative readers observe a changed value.
 //!
-//! The read-side paths (Figures 7–9 and the Figure 17 read-mostly
-//! extension) live in [`crate::read`].
+//! The paper's Figure 5 word keeps the pre-acquisition counter (the
+//! *local lock variable* `v1`) outside the word while the lock is held;
+//! the [`CompactWord`] layout keeps it inside, so no path here carries
+//! it. The protocol is written once, as methods of [`CompactRef`]: a
+//! [`SoleroLock`] is a word with a space of its own and delegates every
+//! operation to a handle over them. The read-side paths (Figures 7–9
+//! and the Figure 17 read-mostly extension) live in [`crate::read`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,15 +28,16 @@ use solero_runtime::spin::Probe;
 use solero_runtime::stats::LockStats;
 use solero_runtime::thread::ThreadId;
 use solero_runtime::word::{
-    SoleroWord, COUNTER_STEP, FLC_BIT, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP,
+    CompactWord, COMPACT_CTR_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP,
 };
 
 use crate::adaptive::AdaptivePolicy;
+use crate::compact::{CompactRef, CompactSpace};
 use crate::config::SoleroConfig;
 
 /// Timed-wait interval for FLC waiters (see
 /// `OsMonitor::wait_timeout` for why the wait is timed).
-pub(crate) const FLC_RECHECK: Duration = Duration::from_millis(1);
+const FLC_RECHECK: Duration = Duration::from_millis(1);
 
 /// The SOLERO lock (PLDI 2010): a drop-in replacement for the
 /// conventional Java monitor whose read-only critical sections do not
@@ -58,26 +64,19 @@ pub(crate) const FLC_RECHECK: Duration = Duration::from_millis(1);
 /// ```
 #[derive(Debug)]
 pub struct SoleroLock {
-    /// The flat-lock word (Figure 5 layout).
-    pub(crate) word: AtomicU64,
-    /// The counter word displaced by the current flat owner's acquiring
-    /// CAS. Written only by the flat owner; read when inflation must
-    /// reconstruct the counter (recursion saturation). The paper keeps
-    /// this value in a register/local ("local lock variable"); the
-    /// inflation paths need it out-of-band.
-    pub(crate) saved_v1: AtomicU64,
-    pub(crate) config: SoleroConfig,
-    pub(crate) stats: LockStats,
-    /// Always-on per-class recent-abort history (decayed on adaptive
-    /// re-arm ticks; plain totals on non-adaptive locks).
-    pub(crate) recent: RecentAborts,
+    /// The lock word ([`CompactWord`] layout).
+    word: AtomicU64,
+    /// Configuration, statistics and recent-abort history: a space of
+    /// one lock. The recent-abort history decays on adaptive re-arm
+    /// ticks and keeps plain totals on non-adaptive locks.
+    space: CompactSpace,
     /// The adaptive elision policy, present iff `config.adaptive` is.
-    pub(crate) policy: Option<AdaptivePolicy>,
+    policy: Option<AdaptivePolicy>,
     /// Process-unique generation nonce drawn at construction; paired
     /// with the word address to form the monitor-table key, so a lock
     /// later allocated at this address can never adopt this lock's
     /// monitor (or its stale displaced counter).
-    pub(crate) gen: u64,
+    gen: u64,
 }
 
 impl Default for SoleroLock {
@@ -86,25 +85,23 @@ impl Default for SoleroLock {
     }
 }
 
-/// Opaque token for a writing critical section: carries the paper's
-/// *local lock variable* `v1` from acquisition to release.
+/// Opaque token for a writing critical section, passed from
+/// [`SoleroLock::enter_write`] back to [`SoleroLock::exit_write`]. It
+/// carries nothing: the lock word itself holds the displaced counter.
 #[derive(Debug)]
 #[must_use = "a write ticket must be passed back to exit_write"]
-pub struct WriteTicket {
-    pub(crate) v1: u64,
-}
+pub struct WriteTicket(());
 
 /// RAII guard returned by [`SoleroLock::lock_write`].
 #[derive(Debug)]
 pub struct SoleroWriteGuard<'a> {
     lock: &'a SoleroLock,
     tid: ThreadId,
-    v1: u64,
 }
 
 impl Drop for SoleroWriteGuard<'_> {
     fn drop(&mut self) {
-        self.lock.exit_write(self.tid, WriteTicket { v1: self.v1 });
+        self.lock.handle().release(self.tid);
     }
 }
 
@@ -117,24 +114,33 @@ impl SoleroLock {
     /// Creates an unlocked lock with explicit configuration.
     pub fn with_config(config: SoleroConfig) -> Self {
         SoleroLock {
-            word: AtomicU64::new(SoleroWord::INIT.raw()),
-            saved_v1: AtomicU64::new(0),
-            config,
-            stats: LockStats::default(),
-            recent: RecentAborts::new(),
+            word: AtomicU64::new(CompactWord::INIT.raw()),
+            space: CompactSpace::with_config(config),
             policy: config.adaptive.map(AdaptivePolicy::new),
             gen: next_lock_gen(),
         }
     }
 
+    /// The protocol handle over this lock's word, key, space and
+    /// policy.
+    #[inline]
+    pub(crate) fn handle(&self) -> CompactRef<'_> {
+        CompactRef {
+            space: &self.space,
+            word: &self.word,
+            key: self.monitor_key(),
+            policy: self.policy.as_ref(),
+        }
+    }
+
     /// The lock's configuration.
     pub fn config(&self) -> &SoleroConfig {
-        &self.config
+        self.space.config()
     }
 
     /// Per-lock statistics counters.
     pub fn stats(&self) -> &LockStats {
-        &self.stats
+        self.space.stats()
     }
 
     /// Per-class recent-abort history — always compiled in, readable
@@ -142,7 +148,7 @@ impl SoleroLock {
     /// the history decays geometrically at every re-arm tick; on a
     /// plain lock it accumulates totals.
     pub fn recent_aborts(&self) -> &RecentAborts {
-        &self.recent
+        self.space.recent_aborts()
     }
 
     /// The adaptive elision policy, if this lock was configured with
@@ -152,36 +158,23 @@ impl SoleroLock {
     }
 
     /// The current raw word (diagnostics and tests).
-    pub fn raw_word(&self) -> SoleroWord {
-        SoleroWord(self.word.load(Ordering::Acquire))
+    pub fn raw_word(&self) -> CompactWord {
+        self.handle().raw_word()
     }
 
     /// True if the lock is currently in fat (inflated) mode.
     pub fn is_inflated(&self) -> bool {
-        self.raw_word().is_inflated()
+        self.handle().is_inflated()
     }
 
     /// True if any thread holds the lock (thin or fat).
     pub fn is_locked(&self) -> bool {
-        let w = self.raw_word();
-        if w.is_inflated() {
-            // Lookup-only: an absent entry means a deflation is mid-
-            // publish — the thin word is about to appear, and a fresh
-            // monitor would be unowned anyway.
-            self.monitor_existing().is_some_and(|m| m.is_owned())
-        } else {
-            w.is_held_flat()
-        }
+        self.handle().is_locked()
     }
 
     /// True if `tid` holds the lock.
     pub fn holds(&self, tid: ThreadId) -> bool {
-        let w = self.raw_word();
-        if w.is_inflated() {
-            self.monitor_existing().is_some_and(|m| m.owned_by(tid))
-        } else {
-            w.tid() == Some(tid)
-        }
+        self.handle().holds(tid)
     }
 
     /// True if the calling thread holds the lock.
@@ -190,23 +183,16 @@ impl SoleroLock {
     }
 
     /// Runs `f` as a writing critical section.
+    #[inline]
     pub fn write<R>(&self, f: impl FnOnce() -> R) -> R {
-        let tid = ThreadId::current();
-        let t = self.enter_write(tid);
-        let r = f();
-        self.exit_write(tid, t);
-        r
+        self.handle().write_section(f)
     }
 
     /// Acquires the lock for writing, returning a guard.
     pub fn lock_write(&self) -> SoleroWriteGuard<'_> {
         let tid = ThreadId::current();
-        let t = self.enter_write(tid);
-        SoleroWriteGuard {
-            lock: self,
-            tid,
-            v1: t.v1,
-        }
+        self.handle().acquire(tid);
+        SoleroWriteGuard { lock: self, tid }
     }
 
     /// Identity of this lock in the global [`MonitorTable`]: the word's
@@ -220,35 +206,89 @@ impl SoleroLock {
     /// this lock. Quiescent locks must read `false` — an entry exists
     /// only while inflated (plus narrow race windows).
     pub fn monitor_resident(&self) -> bool {
-        MonitorTable::global().existing(self.monitor_key()).is_some()
+        self.handle().monitor_resident()
     }
 
+    /// Acquires the lock for a writing critical section (Figure 6,
+    /// lines 1–13).
+    pub fn enter_write(&self, tid: ThreadId) -> WriteTicket {
+        self.handle().acquire(tid);
+        WriteTicket(())
+    }
+
+    /// Releases a writing critical section (Figure 6, lines 15–21).
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `tid` holds the lock.
+    pub fn exit_write(&self, tid: ThreadId, _ticket: WriteTicket) {
+        self.handle().release(tid)
+    }
+
+    /// Java-style `Object.wait()`: releases the lock (all recursion
+    /// levels) and parks until notified, then reacquires. Inflates first
+    /// — waiting requires the OS monitor, and the displaced counter set
+    /// at inflation keeps speculative readers correct across the cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` does not hold the lock (the analogue of
+    /// `IllegalMonitorStateException`). Never call this from a
+    /// speculative read-only section — the paper's classifier rejects
+    /// such sections precisely because `wait` is a side effect.
+    pub fn wait(&self, tid: ThreadId) {
+        self.handle().wait(tid)
+    }
+
+    /// Java-style `Object.notifyAll()`. The caller must hold the lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` does not hold the lock.
+    pub fn notify_all(&self, tid: ThreadId) {
+        self.handle().notify(tid, true)
+    }
+
+    /// Java-style `Object.notify()`. The caller must hold the lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` does not hold the lock.
+    pub fn notify_one(&self, tid: ThreadId) {
+        self.handle().notify(tid, false)
+    }
+}
+
+impl Drop for SoleroLock {
+    fn drop(&mut self) {
+        // Unconditional sweep: normally the deflation path already
+        // pruned the entry, but a lock torn down while inflated (or a
+        // lingering FLC entry from a contender that never inflated)
+        // must not pin its monitor for the process lifetime.
+        self.space.detach(self.monitor_key());
+    }
+}
+
+/// The write side of the protocol, shared by every SOLERO lock word.
+impl<'a> CompactRef<'a> {
     /// Stable lock identity for observability events.
     #[inline]
-    pub(crate) fn obs_id(&self) -> u64 {
-        self.monitor_key().addr as u64
+    pub(crate) fn obs_id(self) -> u64 {
+        self.key.addr as u64
     }
 
-    /// Classifies one aborted speculative read attempt: bumps the
-    /// aggregate `read_aborts` counter plus the per-reason counter (the
-    /// Figure 15 breakdown), and emits the trace event. Every abort goes
-    /// through here exactly once, so the per-reason counters always sum
-    /// to `read_aborts`.
+    /// Classifies one aborted speculative read attempt: the stats
+    /// taxonomy (Figure 15), the recent-abort history, the adaptive
+    /// policy and the trace event. Every abort goes through here
+    /// exactly once.
     #[cold]
-    pub(crate) fn note_abort(&self, reason: AbortReason) {
-        self.stats.read_aborts.fetch_add(1, Ordering::Relaxed);
-        let counter = match reason {
-            AbortReason::LockedAtEntry => &self.stats.abort_locked_at_entry,
-            AbortReason::WordChangedAtExit => &self.stats.abort_word_changed_at_exit,
-            AbortReason::AsyncRevalidationFail => &self.stats.abort_async_revalidation,
-            AbortReason::RetryExhaustedFallback => &self.stats.abort_retry_exhausted,
-            AbortReason::Inflation => &self.stats.abort_inflation,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.recent.note(reason);
-        if let Some(p) = &self.policy {
+    pub(crate) fn note_abort(self, reason: AbortReason) {
+        let stats = self.stats();
+        stats.note_abort(reason);
+        self.space.recent_aborts().note(reason);
+        if let Some(p) = self.policy {
             if p.on_abort(reason) {
-                self.stats.policy_disables.fetch_add(1, Ordering::Relaxed);
+                stats.policy_disables.fetch_add(1, Ordering::Relaxed);
             }
         }
         solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Abort(reason)));
@@ -259,56 +299,81 @@ impl SoleroLock {
     /// recent-abort history, so "recent" means an exponentially
     /// weighted window on adaptive locks).
     #[inline]
-    pub(crate) fn note_elided(&self) {
-        self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = &self.policy {
+    pub(crate) fn note_elided(self) {
+        self.stats().elision_success.fetch_add(1, Ordering::Relaxed);
+        if let Some(p) = self.policy {
             if p.on_elided() {
-                self.recent.decay();
+                self.space.recent_aborts().decay();
             }
         }
+    }
+
+    #[inline]
+    pub(crate) fn stats(self) -> &'a LockStats {
+        self.space.stats()
+    }
+
+    #[inline]
+    pub(crate) fn config(self) -> &'a SoleroConfig {
+        self.space.config()
+    }
+
+    /// The word, as loaded with `order`.
+    #[inline]
+    pub(crate) fn load(self, order: Ordering) -> CompactWord {
+        CompactWord(self.word.load(order))
+    }
+
+    /// The acquiring CAS (Figure 6, line 4): the free word `v` becomes
+    /// `v` held by `tid`, its counter kept in place.
+    #[inline]
+    pub(crate) fn try_acquire(self, v: CompactWord, tid: ThreadId) -> bool {
+        self.word
+            .compare_exchange(
+                v.raw(),
+                CompactWord::held_by(v, tid).raw(),
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            )
+            .is_ok()
     }
 
     /// Get-or-create monitor resolution. Only paths that already hold
     /// the lock (inflation of a held word, wait re-entry) may call
     /// this: while held thin no deflation can race, so creating an
     /// entry here can never resurrect one a deflater just pruned.
-    pub(crate) fn monitor(&self) -> Arc<OsMonitor> {
-        MonitorTable::global().monitor_for(self.monitor_key())
+    fn monitor(self) -> Arc<OsMonitor> {
+        MonitorTable::global().monitor_for(self.key)
     }
 
     /// Lookup-only monitor resolution for reactive paths (observers,
     /// contenders, FLC releases). `None` means the lock is not
     /// inflated — the caller must fall back to the word.
-    pub(crate) fn monitor_existing(&self) -> Option<Arc<OsMonitor>> {
-        MonitorTable::global().existing(self.monitor_key())
+    pub(crate) fn monitor_existing(self) -> Option<Arc<OsMonitor>> {
+        MonitorTable::global().existing(self.key)
+    }
+
+    /// Runs `f` as a writing critical section.
+    pub(crate) fn write_section<R>(self, f: impl FnOnce() -> R) -> R {
+        let tid = ThreadId::current();
+        self.acquire(tid);
+        let r = f();
+        self.release(tid);
+        r
     }
 
     /// Acquires the lock for a writing critical section (Figure 6,
     /// lines 1–13).
-    pub fn enter_write(&self, tid: ThreadId) -> WriteTicket {
-        self.stats.write_enters.fetch_add(1, Ordering::Relaxed);
-        let v1 = SoleroWord(self.word.load(Ordering::Relaxed));
-        if v1.is_elidable()
-            && self
-                .word
-                .compare_exchange(
-                    v1.raw(),
-                    SoleroWord::held_by(tid).raw(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-        {
-            self.stats.write_fast.fetch_add(1, Ordering::Relaxed);
-            self.saved_v1.store(v1.raw(), Ordering::Relaxed);
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
-            return WriteTicket { v1: v1.raw() };
+    #[inline]
+    pub(crate) fn acquire(self, tid: ThreadId) {
+        self.stats().write_enters.fetch_add(1, Ordering::Relaxed);
+        let v = self.load(Ordering::Relaxed);
+        if v.is_elidable() && self.try_acquire(v, tid) {
+            self.stats().write_fast.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.slow_acquire(tid);
         }
-        let t = WriteTicket {
-            v1: self.slow_enter_write(tid),
-        };
         solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
-        t
     }
 
     /// Acquires the lock for a read section the adaptive policy
@@ -325,149 +390,60 @@ impl SoleroLock {
     /// alone would keep the lock fat and elision disabled after the
     /// writers had gone. An inflated or contended word, recursion, or a
     /// holder that outlasts the spin tiers still goes through
-    /// [`enter_write`](Self::enter_write).
-    pub(crate) fn enter_forfeited(&self, tid: ThreadId) -> WriteTicket {
-        let flat = self.config.spin.run(|| {
-            let v = SoleroWord(self.word.load(Ordering::Acquire));
+    /// [`acquire`](Self::acquire).
+    pub(crate) fn acquire_forfeited(self, tid: ThreadId) {
+        let flat = self.config().spin.run(|| {
+            let v = self.load(Ordering::Acquire);
             if v.is_elidable() {
-                if self
-                    .word
-                    .compare_exchange(
-                        v.raw(),
-                        SoleroWord::held_by(tid).raw(),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    return Probe::Done(Some(v.raw()));
+                if self.try_acquire(v, tid) {
+                    return Probe::Done(true);
                 }
                 Probe::Retry
             } else if v.needs_monitor() || v.tid() == Some(tid) {
-                Probe::Done(None)
+                Probe::Done(false)
             } else {
                 Probe::Retry
             }
         });
-        match flat {
-            Some(Some(v1)) => {
-                self.stats.write_enters.fetch_add(1, Ordering::Relaxed);
-                self.saved_v1.store(v1, Ordering::Relaxed);
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
-                WriteTicket { v1 }
-            }
-            _ => self.enter_write(tid),
+        if flat == Some(true) {
+            self.stats().write_enters.fetch_add(1, Ordering::Relaxed);
+            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
+        } else {
+            self.acquire(tid);
         }
     }
 
     /// Releases a writing critical section (Figure 6, lines 15–21).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `tid` holds the lock.
-    pub fn exit_write(&self, tid: ThreadId, ticket: WriteTicket) {
+    #[inline]
+    pub(crate) fn release(self, tid: ThreadId) {
         solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteRelease));
-        let v2 = SoleroWord(self.word.load(Ordering::Relaxed));
-        if v2.fast_releasable() {
-            debug_assert_eq!(v2.tid(), Some(tid), "release by non-owner");
-            self.word
-                .store(self.release_word(ticket.v1), Ordering::Release);
+        let v = self.load(Ordering::Relaxed);
+        if v.fast_releasable() {
+            debug_assert_eq!(v.tid(), Some(tid), "release by non-owner");
+            self.word.store(self.release_word(v), Ordering::Release);
             return;
         }
-        self.slow_exit_write(tid, ticket, v2);
-    }
-
-    /// Java-style `Object.wait()`: releases the lock (all recursion
-    /// levels) and parks until notified, then reacquires. Inflates first
-    /// — waiting requires the OS monitor, and the displaced counter set
-    /// at inflation keeps speculative readers correct across the cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` does not hold the lock (the analogue of
-    /// `IllegalMonitorStateException`). Never call this from a
-    /// speculative read-only section — the paper's classifier rejects
-    /// such sections precisely because `wait` is a side effect.
-    pub fn wait(&self, tid: ThreadId) {
-        let v = SoleroWord(self.word.load(Ordering::Acquire));
-        if !v.is_inflated() {
-            assert_eq!(v.tid(), Some(tid), "wait without holding the lock");
-            self.inflate_held(tid, v);
-        }
-        // The entry must exist: either we just inflated, or the word was
-        // already inflated and we hold it fat (which blocks deflation).
-        let m = self
-            .monitor_existing()
-            .expect("wait without holding the lock");
-        assert!(m.owned_by(tid), "wait without holding the lock");
-        m.wait(tid);
-    }
-
-    /// Java-style `Object.notifyAll()`. The caller must hold the lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` does not hold the lock.
-    pub fn notify_all(&self, tid: ThreadId) {
-        assert!(self.holds(tid), "notify without holding the lock");
-        // Waiters exist only while inflated, so an absent entry means
-        // an empty wait set: notify on a thin lock is a no-op and must
-        // not plant a table entry.
-        if let Some(m) = self.monitor_existing() {
-            m.notify_all();
-        }
-    }
-
-    /// Java-style `Object.notify()`. The caller must hold the lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` does not hold the lock.
-    pub fn notify_one(&self, tid: ThreadId) {
-        assert!(self.holds(tid), "notify without holding the lock");
-        if let Some(m) = self.monitor_existing() {
-            m.notify_one();
-        }
+        self.slow_release(tid, v);
     }
 
     /// Slow write acquisition: recursion, spinning, FLC, fat mode.
-    /// Returns the local lock variable `v1` (0 when the entry was
-    /// recursive or fat — the release then takes the slow path, exactly
-    /// as the paper's zero local lock value does).
     #[cold]
-    pub(crate) fn slow_enter_write(&self, tid: ThreadId) -> u64 {
+    pub(crate) fn slow_acquire(self, tid: ThreadId) {
         loop {
-            let v = SoleroWord(self.word.load(Ordering::Acquire));
+            let v = self.load(Ordering::Acquire);
             if v.is_inflated() {
                 if self.enter_fat(tid) {
-                    return 0;
+                    return;
                 }
                 continue;
             }
             if v.tid() == Some(tid) {
-                // Recursive flat acquisition.
-                if v.recursion() == SOLERO_RECURSION_MAX {
-                    self.inflate_held(tid, v);
-                    self.monitor().enter(tid); // the new level
-                    return 0;
-                }
-                self.word.fetch_add(SOLERO_RECURSION_STEP, Ordering::Relaxed);
-                self.stats.recursive_enters.fetch_add(1, Ordering::Relaxed);
-                return 0;
+                self.recurse(tid, v);
+                return;
             }
             if v.is_elidable() {
-                if self
-                    .word
-                    .compare_exchange(
-                        v.raw(),
-                        SoleroWord::held_by(tid).raw(),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    self.saved_v1.store(v.raw(), Ordering::Relaxed);
-                    return v.raw();
+                if self.try_acquire(v, tid) {
+                    return;
                 }
                 continue;
             }
@@ -477,44 +453,43 @@ impl SoleroLock {
             // spin collapsed), then park. This is also the path the
             // retry-exhausted read fallback takes, so fallback storms
             // back off instead of stampeding the word.
-            let spun = self.config.contention.run_observed(
+            let spun = self.config().contention.run_observed(
                 || {
-                    let v = SoleroWord(self.word.load(Ordering::Acquire));
+                    let v = self.load(Ordering::Acquire);
                     if v.is_elidable() {
-                        if self
-                            .word
-                            .compare_exchange(
-                                v.raw(),
-                                SoleroWord::held_by(tid).raw(),
-                                Ordering::AcqRel,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            return Probe::Done(Some(v.raw()));
+                        if self.try_acquire(v, tid) {
+                            return Probe::Done(true);
                         }
                     } else if v.needs_monitor() {
-                        return Probe::Done(None);
+                        return Probe::Done(false);
                     }
                     Probe::Retry
                 },
                 |_| {
-                    self.stats
+                    self.stats()
                         .contention_backoffs
                         .fetch_add(1, Ordering::Relaxed);
                 },
             );
-            match spun {
-                Some(Some(v1)) => {
-                    self.saved_v1.store(v1, Ordering::Relaxed);
-                    return v1;
-                }
-                Some(None) | None => {
-                    if self.enter_via_monitor(tid) {
-                        return 0;
-                    }
-                }
+            if spun == Some(true) || self.enter_via_monitor(tid) {
+                return;
             }
+        }
+    }
+
+    /// A recursive flat entry by the owner (Figure 8's
+    /// `test_recursion`): one more level in the recursion bits or, at
+    /// saturation, inflation with the new level taken on the monitor.
+    pub(crate) fn recurse(self, tid: ThreadId, v: CompactWord) {
+        if v.recursion() == SOLERO_RECURSION_MAX {
+            self.inflate_held(tid, v);
+            self.monitor().enter(tid);
+        } else {
+            self.word
+                .fetch_add(SOLERO_RECURSION_STEP, Ordering::Relaxed);
+            self.stats()
+                .recursive_enters
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -522,16 +497,15 @@ impl SoleroLock {
     /// the word still names *that* monitor. Returns `false` if the
     /// caller must retry from the top (the lock deflated, or a
     /// re-inflation bound a different monitor while we blocked).
-    pub(crate) fn enter_fat(&self, tid: ThreadId) -> bool {
+    fn enter_fat(self, tid: ThreadId) -> bool {
         let Some(m) = self.monitor_existing() else {
             // Inflated word but no entry: a deflater pruned the binding
             // and is about to publish the thin word. Retry.
             return false;
         };
         m.enter(tid);
-        let v = SoleroWord(self.word.load(Ordering::Acquire));
-        if v.monitor_id() == Some(m.id()) {
-            self.stats.monitor_enters.fetch_add(1, Ordering::Relaxed);
+        if self.load(Ordering::Acquire).monitor_id() == Some(m.id()) {
+            self.stats().monitor_enters.fetch_add(1, Ordering::Relaxed);
             true
         } else {
             m.exit(tid);
@@ -551,23 +525,22 @@ impl SoleroLock {
     /// (removal requires ownership), so a current binding cannot change
     /// under us, and a monitor id in the word is only trusted when it
     /// matches the monitor we own.
-    pub(crate) fn enter_via_monitor(&self, tid: ThreadId) -> bool {
-        let key = self.monitor_key();
+    pub(crate) fn enter_via_monitor(self, tid: ThreadId) -> bool {
         let table = MonitorTable::global();
-        let m = table.monitor_for(key);
+        let m = table.monitor_for(self.key);
         m.enter(tid);
         loop {
-            if !table.is_current(key, &m) {
+            if !table.is_current(self.key, &m) {
                 // Deflated (and pruned) while we blocked on entry, or
                 // re-inflated onto a fresh monitor: this monitor is an
                 // orphan. Release it and retry from the word.
                 m.exit(tid);
                 return false;
             }
-            let v = SoleroWord(self.word.load(Ordering::Acquire));
+            let v = self.load(Ordering::Acquire);
             if v.is_inflated() {
                 if v.monitor_id() == Some(m.id()) {
-                    self.stats.monitor_enters.fetch_add(1, Ordering::Relaxed);
+                    self.stats().monitor_enters.fetch_add(1, Ordering::Relaxed);
                     return true;
                 }
                 // A stale inflated word from a binding this monitor
@@ -579,20 +552,19 @@ impl SoleroLock {
                 // Free counter word (FLC bit possibly set): inflate.
                 // The binding check above ran while owning `m`, so the
                 // table still maps our key to `m` at this CAS.
-                let displaced = (v.raw() & !FLC_BIT).wrapping_add(COUNTER_STEP);
                 if self
                     .word
                     .compare_exchange(
                         v.raw(),
-                        SoleroWord::inflated(m.id()).raw(),
+                        CompactWord::inflated(m.id()).raw(),
                         Ordering::AcqRel,
                         Ordering::Relaxed,
                     )
                     .is_ok()
                 {
-                    m.set_displaced(displaced);
-                    self.stats.inflations.fetch_add(1, Ordering::Relaxed);
-                    self.stats.monitor_enters.fetch_add(1, Ordering::Relaxed);
+                    m.set_displaced(v.release_word().raw());
+                    self.stats().inflations.fetch_add(1, Ordering::Relaxed);
+                    self.stats().monitor_enters.fetch_add(1, Ordering::Relaxed);
                     return true;
                 }
                 continue;
@@ -609,35 +581,32 @@ impl SoleroLock {
                     )
                     .is_ok()
             {
-                self.stats.flc_waits.fetch_add(1, Ordering::Relaxed);
+                self.stats().flc_waits.fetch_add(1, Ordering::Relaxed);
                 m.wait_timeout(tid, FLC_RECHECK);
             }
         }
     }
 
-    /// Inflates while `tid` holds the flat lock (recursion saturation),
-    /// transferring the recursion depth onto the monitor. The displaced
-    /// counter is reconstructed from the owner's saved `v1`.
-    pub(crate) fn inflate_held(&self, tid: ThreadId, v: SoleroWord) {
+    /// Inflates while `tid` holds the flat lock `v` (recursion
+    /// saturation, `wait`), transferring the recursion depth onto the
+    /// monitor. The displaced counter comes straight out of the held
+    /// word.
+    fn inflate_held(self, tid: ThreadId, v: CompactWord) {
         debug_assert_eq!(v.tid(), Some(tid));
         let m = self.monitor();
         m.enter(tid);
         for _ in 0..v.recursion() {
             m.enter(tid);
         }
-        let displaced = self
-            .saved_v1
-            .load(Ordering::Relaxed)
-            .wrapping_add(COUNTER_STEP);
-        m.set_displaced(displaced);
+        m.set_displaced(v.release_word().raw());
         self.word
-            .store(SoleroWord::inflated(m.id()).raw(), Ordering::Release);
-        self.stats.inflations.fetch_add(1, Ordering::Relaxed);
+            .store(CompactWord::inflated(m.id()).raw(), Ordering::Release);
+        self.stats().inflations.fetch_add(1, Ordering::Relaxed);
         m.notify_all();
     }
 
     #[cold]
-    fn slow_exit_write(&self, tid: ThreadId, ticket: WriteTicket, v: SoleroWord) {
+    fn slow_release(self, tid: ThreadId, v: CompactWord) {
         if v.is_inflated() {
             // Every fat-mode *writing* release advances the displaced
             // counter so deflation never republishes a captured value.
@@ -645,49 +614,57 @@ impl SoleroLock {
                 .monitor_existing()
                 .expect("fat owner's monitor must be tabled");
             debug_assert!(m.owned_by(tid), "fat release by non-owner");
-            m.bump_displaced(COUNTER_STEP);
+            m.bump_displaced(COMPACT_CTR_STEP);
             self.exit_fat(tid);
             return;
         }
+        self.release_flat(tid, v);
+    }
+
+    /// Releases the flat lock `tid` holds as `v` (Figure 9, lines 2–8):
+    /// pop one recursion level, or publish the release word — under the
+    /// monitor, waking the contenders, if one of them set FLC while we
+    /// held the lock. Lookup-only: the contender that set FLC tabled
+    /// the entry and is parked on it; if the entry is somehow gone
+    /// there is nobody to wake and a plain store suffices (creating an
+    /// entry here would leak it).
+    pub(crate) fn release_flat(self, tid: ThreadId, v: CompactWord) {
         debug_assert_eq!(v.tid(), Some(tid), "release by non-owner");
         if v.recursion() > 0 {
-            self.word.fetch_sub(SOLERO_RECURSION_STEP, Ordering::Release);
+            self.word
+                .fetch_sub(SOLERO_RECURSION_STEP, Ordering::Release);
             return;
         }
-        // FLC set while we held the lock: release under the monitor and
-        // wake the contenders. Lookup-only — the contender that set the
-        // bit tabled the entry and is parked on it; if the entry is
-        // somehow gone there is nobody to wake and a plain store
-        // suffices (creating an entry here would leak it).
-        debug_assert!(v.has_flc());
-        match self.monitor_existing() {
+        let next = self.release_word(v);
+        let parked = if v.has_flc() {
+            self.monitor_existing()
+        } else {
+            None
+        };
+        match parked {
             Some(m) => {
                 m.enter(tid);
-                self.word
-                    .store(self.release_word(ticket.v1), Ordering::Release);
+                self.word.store(next, Ordering::Release);
                 m.notify_all();
                 m.exit(tid);
             }
-            None => {
-                self.word
-                    .store(self.release_word(ticket.v1), Ordering::Release);
-            }
+            None => self.word.store(next, Ordering::Release),
         }
     }
 
-    /// Figure 6, line 18: the word a flat write release publishes —
-    /// the pre-acquire value with the version counter advanced, which
-    /// is what aborts any reader that overlapped the write section.
+    /// Figure 6, line 18: the word a flat release publishes — the held
+    /// word's counter advanced one step, owner and flag bits dropped —
+    /// which is what aborts any reader that overlapped the section.
     ///
     /// Under `--cfg solero_mc` this is a mutation point the model
     /// checker must kill (see `crate::mutation`).
     #[inline]
-    fn release_word(&self, v1: u64) -> u64 {
+    fn release_word(self, held: CompactWord) -> u64 {
         #[cfg(solero_mc)]
         if crate::mutation::active() == crate::mutation::STUCK_COUNTER {
-            return v1;
+            return held.raw() & solero_runtime::word::COMPACT_CTR_MASK;
         }
-        v1.wrapping_add(COUNTER_STEP)
+        held.release_word().raw()
     }
 
     /// Final fat release: deflates when the monitor is uncontended —
@@ -702,31 +679,63 @@ impl SoleroLock {
     /// therefore benign. The deflation guard itself is TOCTOU-safe:
     /// queued contenders re-check the word after our monitor exit, and
     /// new waiters are impossible while we own the monitor.
-    pub(crate) fn exit_fat(&self, tid: ThreadId) {
-        let key = self.monitor_key();
+    pub(crate) fn exit_fat(self, tid: ThreadId) {
         let table = MonitorTable::global();
         let m = table
-            .existing(key)
+            .existing(self.key)
             .expect("fat owner's monitor must be tabled");
         debug_assert!(m.owned_by(tid), "fat release by non-owner");
         if m.depth(tid) == 1 && m.idle_for_deflation() {
-            let removed = table.remove_if(key, &m);
+            let removed = table.remove_if(self.key, &m);
             debug_assert!(removed, "deflater's binding must still be current");
             self.word.store(m.displaced(), Ordering::Release);
-            self.stats.deflations.fetch_add(1, Ordering::Relaxed);
+            self.stats().deflations.fetch_add(1, Ordering::Relaxed);
             m.notify_all();
+        } else {
+            // Handoff republish: a fat exit that does NOT deflate leaves
+            // the inflated word untouched, so the next fat enterer's
+            // acquire load of the word would otherwise synchronize with
+            // the *inflater's* store — not with this section's writes.
+            // The monitor's own mutex orders the handoff on real
+            // hardware, but the release edge must also travel through
+            // the word so the protocol is self-contained (and visible to
+            // the model checker): republish the same inflated value as
+            // an RMW before surrendering ownership.
+            self.word.fetch_add(0, Ordering::AcqRel);
         }
         m.exit(tid);
     }
-}
 
-impl Drop for SoleroLock {
-    fn drop(&mut self) {
-        // Unconditional sweep: normally the deflation path already
-        // pruned the entry, but a lock torn down while inflated (or a
-        // lingering FLC entry from a contender that never inflated)
-        // must not pin its monitor for the process lifetime.
-        MonitorTable::global().remove(self.monitor_key());
+    /// `Object.wait()` for the owner `tid`; see [`SoleroLock::wait`].
+    pub(crate) fn wait(self, tid: ThreadId) {
+        let v = self.load(Ordering::Acquire);
+        if !v.is_inflated() {
+            assert_eq!(v.tid(), Some(tid), "wait without holding the lock");
+            self.inflate_held(tid, v);
+        }
+        // The entry must exist: either we just inflated, or the word was
+        // already inflated and we hold it fat (which blocks deflation).
+        let m = self
+            .monitor_existing()
+            .expect("wait without holding the lock");
+        assert!(m.owned_by(tid), "wait without holding the lock");
+        m.wait(tid);
+    }
+
+    /// `Object.notifyAll()` (`all`) or `Object.notify()` for the owner
+    /// `tid`.
+    pub(crate) fn notify(self, tid: ThreadId, all: bool) {
+        assert!(self.holds(tid), "notify without holding the lock");
+        // Waiters exist only while inflated, so an absent entry means
+        // an empty wait set: notify on a thin lock is a no-op and must
+        // not plant a table entry.
+        if let Some(m) = self.monitor_existing() {
+            if all {
+                m.notify_all();
+            } else {
+                m.notify_one();
+            }
+        }
     }
 }
 

@@ -23,10 +23,10 @@ pub const SKIP_EXIT_REREAD: u8 = 1;
 /// it to observe a stale (pre-write) lock word and validate a torn
 /// read.
 pub const WEAK_EXIT_LOAD: u8 = 2;
-/// `exit_write` releases by storing `v1` instead of
-/// `v1 + COUNTER_STEP`: the lock unlocks but the version counter does
-/// not advance, so an elided reader spanning the whole write section
-/// ABA-validates.
+/// A flat release publishes the held word's counter as it was at
+/// acquisition instead of one `COMPACT_CTR_STEP` past it: the lock
+/// unlocks but the version counter does not advance, so an elided
+/// reader spanning the whole write section ABA-validates.
 pub const STUCK_COUNTER: u8 = 3;
 
 static ACTIVE: AtomicU8 = AtomicU8::new(NONE);

@@ -13,7 +13,11 @@
 //!    if unchanged the fault is genuine and propagates.
 //! 4. After `fallback_threshold` failed attempts, acquire the lock and
 //!    re-execute non-speculatively (starvation freedom).
-
+//!
+//! Like the write side, the driver is written once, as methods of
+//! [`CompactRef`]; [`SoleroLock`] and
+//! [`CompactRef::read_only`](crate::CompactRef::read_only) delegate to
+//! it.
 
 use solero_sync::atomic::Ordering;
 
@@ -21,8 +25,9 @@ use solero_obs::{AbortReason, EventKind, LockEvent};
 use solero_runtime::fault::Fault;
 use solero_runtime::spin::Probe;
 use solero_runtime::thread::ThreadId;
-use solero_runtime::word::{SoleroWord, COUNTER_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP};
 
+use crate::adaptive::EntryDecision;
+use crate::compact::CompactRef;
 use crate::config::ElisionMode;
 use crate::lock::SoleroLock;
 use crate::session::{MostlySession, ReadSession};
@@ -63,11 +68,12 @@ impl SoleroLock {
     /// assert_eq!(v, 7);
     /// # Ok::<(), Fault>(())
     /// ```
+    #[inline]
     pub fn read_only<R>(
         &self,
-        mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
+        f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        self.read_api(move |s| f(s))
+        self.handle().read_section(f)
     }
 
     /// Runs `f` as a **read-mostly critical section** (§5): elided like
@@ -98,11 +104,12 @@ impl SoleroLock {
     /// assert_eq!(hits.load(Ordering::Relaxed), 1);
     /// # Ok::<(), Fault>(())
     /// ```
+    #[inline]
     pub fn read_mostly<R>(
         &self,
         mut f: impl FnMut(&mut MostlySession<'_>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        self.read_api(move |s| {
+        self.handle().read_section(move |s| {
             // MostlySession is a transparent wrapper adding the upgrade
             // operation; state changes flow back to the driver's view.
             let mut m = MostlySession(ReadSession {
@@ -117,103 +124,111 @@ impl SoleroLock {
             r
         })
     }
+}
 
-    /// The shared entry point: an inlined fast path (the code shape the
-    /// paper's JIT emits at every read-only synchronized block) backed
-    /// by the out-of-line retry/fallback driver.
+/// The read side of the protocol, shared by every SOLERO lock word.
+impl<'a> CompactRef<'a> {
+    /// Runs `f` as a read-only critical section: an inlined fast path
+    /// (the code shape the paper's JIT emits at every read-only
+    /// synchronized block) backed by the out-of-line retry/fallback
+    /// driver.
     #[inline]
-    fn read_api<R>(
-        &self,
-        mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
+    pub(crate) fn read_section<R>(
+        self,
+        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
-        if self.config.elision == ElisionMode::NoElide {
+        let stats = self.stats();
+        let config = self.config();
+        stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        if config.elision == ElisionMode::NoElide {
             return self.read_unelided(false, f);
         }
         // Adaptive consult: a forfeited entry acquires instead of
         // speculating. No speculation starts, so this is NOT an abort —
         // `read_aborts == abort_reason_sum()` must keep balancing — it
         // is counted separately as a policy skip.
-        if let Some(p) = &self.policy {
-            if let crate::adaptive::EntryDecision::Acquire { rearmed } = p.on_entry() {
-                self.stats.policy_skips.fetch_add(1, Ordering::Relaxed);
+        if let Some(p) = self.policy {
+            if let EntryDecision::Acquire { rearmed } = p.on_entry() {
+                stats.policy_skips.fetch_add(1, Ordering::Relaxed);
                 if rearmed {
-                    self.stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
+                    stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
                 }
                 return self.read_unelided(true, f);
             }
         }
         // Figure 7, lines 1–8, inlined.
-        let v = self.word.load(Ordering::Acquire);
-        if SoleroWord(v).is_elidable() {
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-            self.config.barrier.read_entry_fence();
-            let mut s = ReadSession::new(self, v, false);
-            let out = f(&mut s);
-            if let Ok(r) = out {
-                if !s.held {
-                    self.config.barrier.read_exit_fence();
-                    if self.exit_validates(s.v) {
-                        self.note_elided();
-                        return Ok(r);
-                    }
-                }
-                // Completed but needs the slow exit / failed validation.
-                match self.settle_attempt(Ok(r), s.v, s.held) {
-                    Settled::Done(res) => return res,
-                    Settled::Retry(failures) => return self.read_resume(f, failures),
-                }
-            }
-            match self.settle_attempt(out, s.v, s.held) {
-                Settled::Done(res) => return res,
-                Settled::Retry(failures) => return self.read_resume(f, failures),
+        let v = self.load(Ordering::Acquire);
+        if !v.is_elidable() {
+            // Busy at entry: slow entry, then the driver loop.
+            return self.read_busy_entry(f);
+        }
+        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
+        config.barrier.read_entry_fence();
+        let mut s = ReadSession::new(self, v.raw(), false);
+        let out = f(&mut s);
+        if out.is_ok() && !s.held {
+            config.barrier.read_exit_fence();
+            if self.exit_validates(s.v) {
+                self.note_elided();
+                return out;
             }
         }
-        // Busy at entry: slow entry, then the driver loop.
-        self.read_busy_entry(f)
+        // Failed validation, a fault, or a section that upgraded.
+        match self.settle_attempt(out, s.v, s.held) {
+            Settled::Done(res) => res,
+            Settled::Retry(failures) => self.read_resume(f, failures),
+        }
     }
 
     /// Unelided-SOLERO: execute the read section as a writing critical
     /// section (the Figure 10 ablation). A section the adaptive policy
     /// `forfeited` runs the same way but acquires through
-    /// [`SoleroLock::enter_forfeited`].
+    /// [`acquire_forfeited`](Self::acquire_forfeited).
     #[cold]
     fn read_unelided<R>(
-        &self,
+        self,
         forfeited: bool,
-        mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
+        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let tid = ThreadId::current();
-        let t = if forfeited {
-            self.enter_forfeited(tid)
+        if forfeited {
+            self.acquire_forfeited(tid);
         } else {
-            self.enter_write(tid)
-        };
-        let v1 = t.v1;
-        let mut s = ReadSession::new(self, v1, true);
-        let r = f(&mut s);
-        self.exit_write(tid, t);
+            self.acquire(tid);
+        }
+        let r = f(&mut ReadSession::new(self, 0, true));
+        self.release(tid);
         r
     }
 
     /// First attempt when the word was busy at entry.
     #[cold]
     fn read_busy_entry<R>(
-        &self,
-        mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
+        self,
+        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let tid = ThreadId::current();
-        let (v, held) = self.slow_read_enter(tid);
-        if !held {
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-            self.config.barrier.read_entry_fence();
-        }
-        let mut s = ReadSession::new(self, v, held);
-        let out = f(&mut s);
-        match self.settle_attempt(out, s.v, s.held) {
+        let (v, held) = self.slow_read_enter(ThreadId::current());
+        match self.attempt(&mut f, v, held) {
             Settled::Done(res) => res,
             Settled::Retry(failures) => self.read_resume(f, failures),
         }
+    }
+
+    /// One execution attempt from a captured word `v` (speculative) or
+    /// under the held lock, settled.
+    fn attempt<R>(
+        self,
+        f: &mut impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
+        v: u64,
+        held: bool,
+    ) -> Settled<R> {
+        if !held {
+            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
+            self.config().barrier.read_entry_fence();
+        }
+        let mut s = ReadSession::new(self, v, held);
+        let out = f(&mut s);
+        self.settle_attempt(out, s.v, s.held)
     }
 
     /// Figure 7, line 6: the exit re-read. A speculative section is
@@ -224,7 +239,7 @@ impl SoleroLock {
     /// Under `--cfg solero_mc` this is also the mutation point the
     /// model checker must kill (see `crate::mutation`).
     #[inline]
-    fn exit_validates(&self, v: u64) -> bool {
+    fn exit_validates(self, v: u64) -> bool {
         #[cfg(solero_mc)]
         match crate::mutation::active() {
             crate::mutation::SKIP_EXIT_REREAD => return true,
@@ -239,56 +254,50 @@ impl SoleroLock {
     /// Post-processing of one execution attempt: exit validation
     /// (Figure 7 lines 6–14) and the catch-block fault triage (§3.3).
     #[cold]
-    fn settle_attempt<R>(&self, out: Result<R, Fault>, v: u64, held: bool) -> Settled<R> {
+    fn settle_attempt<R>(self, out: Result<R, Fault>, v: u64, held: bool) -> Settled<R> {
+        if held {
+            // Faults under a held lock are genuine: release and
+            // propagate (§3.3 — the conventional path).
+            let released = self.slow_read_exit(ThreadId::current());
+            debug_assert!(released, "held section must release");
+            return Settled::Done(out);
+        }
+        let stats = self.stats();
         match out {
             Ok(r) => {
-                if held {
-                    let released = self.slow_read_exit(ThreadId::current(), v);
-                    debug_assert!(released, "held section must release");
-                    return Settled::Done(Ok(r));
-                }
                 // Figure 7, line 6: validate.
-                self.config.barrier.read_exit_fence();
+                self.config().barrier.read_exit_fence();
                 if self.exit_validates(v) {
                     self.note_elided();
                     return Settled::Done(Ok(r));
                 }
                 // Figure 7, line 9: the lock may be held by us through a
                 // path the fast check misses.
-                if self.slow_read_exit(ThreadId::current(), v) {
+                if self.slow_read_exit(ThreadId::current()) {
                     return Settled::Done(Ok(r));
                 }
-                self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+                stats.elision_failure.fetch_add(1, Ordering::Relaxed);
                 self.note_abort(AbortReason::WordChangedAtExit);
                 Settled::Retry(1)
             }
+            Err(Fault::UpgradeFailed) => {
+                // Figure 17, line 13: go straight to fallback. The
+                // abort is counted once, by the fallback branch of
+                // read_resume (RetryExhaustedFallback) — counting
+                // WordChangedAtExit here too would double-book the
+                // same abort and break
+                // `read_aborts == abort_reason_sum()`.
+                stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+                Settled::Retry(self.config().fallback_threshold.max(1))
+            }
             Err(fault) => {
-                if held {
-                    // Faults under a held lock are genuine: release and
-                    // propagate (§3.3 — the conventional path).
-                    let released = self.slow_read_exit(ThreadId::current(), v);
-                    debug_assert!(released, "held section must release");
-                    return Settled::Done(Err(fault));
-                }
-                if fault == Fault::UpgradeFailed {
-                    // Figure 17, line 13: go straight to fallback. The
-                    // abort is counted once, by the fallback branch of
-                    // read_resume (RetryExhaustedFallback) — counting
-                    // WordChangedAtExit here too would double-book the
-                    // same abort and break
-                    // `read_aborts == abort_reason_sum()`.
-                    self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                    return Settled::Retry(self.config.fallback_threshold.max(1));
-                }
                 // Catch-block validation (§3.3): unchanged word means
                 // the reads were consistent — the fault is genuine.
                 if !fault.is_artifact_only() && v == self.word.load(Ordering::Acquire) {
                     return Settled::Done(Err(fault));
                 }
-                self.stats
-                    .speculative_faults
-                    .fetch_add(1, Ordering::Relaxed);
-                self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
+                stats.speculative_faults.fetch_add(1, Ordering::Relaxed);
+                stats.elision_failure.fetch_add(1, Ordering::Relaxed);
                 // A check-point raised the inconsistency; any other fault
                 // was ruled an artifact because the word changed.
                 self.note_abort(if fault == Fault::Inconsistent {
@@ -305,35 +314,29 @@ impl SoleroLock {
     /// failures, then under the acquired lock (starvation freedom).
     #[cold]
     fn read_resume<R>(
-        &self,
-        mut f: impl FnMut(&mut ReadSession<'_>) -> Result<R, Fault>,
+        self,
+        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
         mut failures: u32,
     ) -> Result<R, Fault> {
         let tid = ThreadId::current();
         loop {
-            let (v, held) = if failures >= self.config.fallback_threshold {
-                self.stats.fallback_acquires.fetch_add(1, Ordering::Relaxed);
+            let (v, held) = if failures >= self.config().fallback_threshold {
+                self.stats()
+                    .fallback_acquires
+                    .fetch_add(1, Ordering::Relaxed);
                 self.note_abort(AbortReason::RetryExhaustedFallback);
-                let v = self.slow_enter_write(tid);
-                solero_obs::emit(|| {
-                    LockEvent::now(self.obs_id(), EventKind::FallbackAcquire)
-                });
-                (v, true)
+                self.slow_acquire(tid);
+                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::FallbackAcquire));
+                (0, true)
             } else {
-                let raw = self.word.load(Ordering::Acquire);
-                if SoleroWord(raw).is_elidable() {
-                    (raw, false)
+                let v = self.load(Ordering::Acquire);
+                if v.is_elidable() {
+                    (v.raw(), false)
                 } else {
                     self.slow_read_enter(tid)
                 }
             };
-            if !held {
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-                self.config.barrier.read_entry_fence();
-            }
-            let mut s = ReadSession::new(self, v, held);
-            let out = f(&mut s);
-            match self.settle_attempt(out, s.v, s.held) {
+            match self.attempt(&mut f, v, held) {
                 Settled::Done(res) => return res,
                 Settled::Retry(add) => failures += add,
             }
@@ -344,30 +347,23 @@ impl SoleroLock {
     ///
     /// Recursion increments the recursion bits; a busy flat lock is
     /// spun on; inflation (or persistent contention) acquires the fat
-    /// lock. Returns `(v, held)` — `held` entries use `v = 0`, which can
-    /// never match the word (paper: "the lock value never matches with
-    /// zero because the inflation bit ... is set").
+    /// lock. Returns `(v, held)`; a held entry's `v` is never validated.
     #[cold]
-    pub(crate) fn slow_read_enter(&self, tid: ThreadId) -> (u64, bool) {
+    fn slow_read_enter(self, tid: ThreadId) -> (u64, bool) {
         // Figure 8, lines 2–5: test_recursion.
-        let v = SoleroWord(self.word.load(Ordering::Acquire));
-        if !v.is_inflated() && v.tid() == Some(tid) {
-            if v.recursion() == SOLERO_RECURSION_MAX {
-                self.inflate_held(tid, v);
-                self.monitor().enter(tid);
-                return (0, true);
-            }
-            self.word.fetch_add(SOLERO_RECURSION_STEP, Ordering::Relaxed);
-            self.stats.recursive_enters.fetch_add(1, Ordering::Relaxed);
+        let v = self.load(Ordering::Acquire);
+        if v.tid() == Some(tid) {
+            self.recurse(tid, v);
             return (0, true);
         }
-        self.stats.read_slow_enters.fetch_add(1, Ordering::Relaxed);
+        self.stats()
+            .read_slow_enters
+            .fetch_add(1, Ordering::Relaxed);
         // Figure 8, lines 6–17: three-tier wait for the lock to free up.
-        let spun = self.config.spin.run(|| {
-            let raw = self.word.load(Ordering::Acquire);
-            let w = SoleroWord(raw);
+        let spun = self.config().spin.run(|| {
+            let w = self.load(Ordering::Acquire);
             if w.is_elidable() {
-                Probe::Done(Some(raw))
+                Probe::Done(Some(w.raw()))
             } else if w.needs_monitor() {
                 // Figure 8, line 11: inflated or contended — stop.
                 Probe::Done(None)
@@ -396,46 +392,25 @@ impl SoleroLock {
     }
 
     /// Slow exit for read-only sections — Figure 9. Returns `true` if
-    /// the section completed (recursion popped, flat lock released, or
-    /// fat lock released); `false` if validation failed and the section
-    /// must re-execute.
+    /// `tid` held the lock and has now released one level of it
+    /// (recursion popped, flat lock released, or fat lock released);
+    /// `false` if it did not hold it — a speculative section whose
+    /// validation failed, which must re-execute. A fat read release
+    /// does not bump the displaced counter; only a writing release does
+    /// (see `slow_release`).
     #[cold]
-    pub(crate) fn slow_read_exit(&self, tid: ThreadId, v: u64) -> bool {
-        let w = SoleroWord(self.word.load(Ordering::Acquire));
-        if !w.is_inflated() && w.tid() == Some(tid) {
-            if w.recursion() > 0 {
-                // Figure 9, lines 2–4.
-                self.word.fetch_sub(SOLERO_RECURSION_STEP, Ordering::Release);
-                return true;
-            }
-            // Figure 9, lines 5–8: release the flat lock with v + 0x100
-            // and check the FLC bit. Lookup-only: the contender that
-            // set FLC tabled the entry; if it is gone nobody is parked.
-            match (w.has_flc(), self.monitor_existing()) {
-                (true, Some(m)) => {
-                    m.enter(tid);
-                    self.word
-                        .store(v.wrapping_add(COUNTER_STEP), Ordering::Release);
-                    m.notify_all();
-                    m.exit(tid);
-                }
-                _ => {
-                    self.word
-                        .store(v.wrapping_add(COUNTER_STEP), Ordering::Release);
-                }
-            }
+    fn slow_read_exit(self, tid: ThreadId) -> bool {
+        let w = self.load(Ordering::Acquire);
+        if w.tid() == Some(tid) {
+            self.release_flat(tid, w);
             return true;
         }
-        if w.is_inflated() {
-            // Figure 9, lines 9–11. Lookup-only: only the current
-            // binding can be owned by us, and while we own it the word
-            // cannot change, so no id re-check is needed here.
-            if let Some(m) = self.monitor_existing() {
-                if m.owned_by(tid) {
-                    self.exit_fat(tid);
-                    return true;
-                }
-            }
+        // Figure 9, lines 9–11. Lookup-only: only the current binding
+        // can be owned by us, and while we own it the word cannot
+        // change, so no id re-check is needed here.
+        if w.is_inflated() && self.monitor_existing().is_some_and(|m| m.owned_by(tid)) {
+            self.exit_fat(tid);
+            return true;
         }
         // Figure 9, line 13: the lock value changed — re-execute.
         false

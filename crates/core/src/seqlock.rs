@@ -239,15 +239,7 @@ impl<T: SeqData> SeqLock<T> {
     /// [`SoleroLock`](crate::SoleroLock).
     #[cold]
     fn note_abort(&self, reason: AbortReason) {
-        self.stats.read_aborts.fetch_add(1, Ordering::Relaxed);
-        let counter = match reason {
-            AbortReason::LockedAtEntry => &self.stats.abort_locked_at_entry,
-            AbortReason::WordChangedAtExit => &self.stats.abort_word_changed_at_exit,
-            AbortReason::AsyncRevalidationFail => &self.stats.abort_async_revalidation,
-            AbortReason::RetryExhaustedFallback => &self.stats.abort_retry_exhausted,
-            AbortReason::Inflation => &self.stats.abort_inflation,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.stats.note_abort(reason);
         self.recent.note(reason);
         if let Some(p) = &self.policy {
             if p.on_abort(reason) {

@@ -15,9 +15,9 @@ use solero_obs::{EventKind, LockEvent};
 use solero_runtime::events::EventPoll;
 use solero_runtime::fault::Fault;
 use solero_runtime::thread::ThreadId;
-use solero_runtime::word::SoleroWord;
+use solero_runtime::word::CompactWord;
 
-use crate::lock::SoleroLock;
+use crate::compact::CompactRef;
 
 /// Validation polling inside critical sections, independent of the lock
 /// implementation. Lock-based strategies use [`NullCheckpoint`] (always
@@ -69,12 +69,14 @@ impl Checkpoint for NullCheckpoint {
 
 /// Context of one execution attempt of a read-only critical section.
 ///
-/// Obtained through [`SoleroLock::read_only`]; holds the local lock
-/// variable `v` captured at entry and whether the attempt runs
-/// speculatively or under the (recursively/fat/fallback-) held lock.
+/// Obtained through [`SoleroLock::read_only`](crate::SoleroLock::read_only);
+/// holds the local lock variable `v` captured at entry and whether the
+/// attempt runs speculatively or under the (recursively/fat/fallback-)
+/// held lock.
 #[derive(Debug)]
 pub struct ReadSession<'a> {
-    pub(crate) lock: &'a SoleroLock,
+    /// The protocol handle of the lock the section runs under.
+    pub(crate) lock: CompactRef<'a>,
     /// The local lock variable (Figure 7's `v`).
     pub(crate) v: u64,
     /// True if this attempt holds the lock (recursion, fat mode, or
@@ -84,12 +86,12 @@ pub struct ReadSession<'a> {
 }
 
 impl<'a> ReadSession<'a> {
-    pub(crate) fn new(lock: &'a SoleroLock, v: u64, held: bool) -> Self {
+    pub(crate) fn new(lock: CompactRef<'a>, v: u64, held: bool) -> Self {
         ReadSession {
             lock,
             v,
             held,
-            poll: EventPoll::new(lock.config.checkpoint_period),
+            poll: EventPoll::new(lock.config().checkpoint_period),
         }
     }
 
@@ -129,25 +131,12 @@ impl<'a> ReadSession<'a> {
         }
         // CAS(&obj->lock, v, thread_id + LOCK_BIT) — Figure 17 line 8.
         let tid = ThreadId::current();
-        if self
-            .lock
-            .word
-            .compare_exchange(
-                self.v,
-                SoleroWord::held_by(tid).raw(),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            self.lock.saved_v1.store(self.v, Ordering::Relaxed);
+        if self.lock.try_acquire(CompactWord(self.v), tid) {
             self.lock
-                .stats
+                .stats()
                 .mostly_upgrades
                 .fetch_add(1, Ordering::Relaxed);
-            solero_obs::emit(|| {
-                LockEvent::now(self.lock.obs_id(), EventKind::MostlyUpgrade)
-            });
+            solero_obs::emit(|| LockEvent::now(self.lock.obs_id(), EventKind::MostlyUpgrade));
             self.held = true;
             return Ok(());
         }
@@ -169,7 +158,7 @@ impl Checkpoint for ReadSession<'_> {
         }
         if self.poll.should_validate() {
             self.lock
-                .stats
+                .stats()
                 .async_validations
                 .fetch_add(1, Ordering::Relaxed);
             return self.validate_now();

@@ -18,7 +18,7 @@ use solero_heap::{ClassId, Heap, ObjRef};
 use solero_mc::{spawn, Checker};
 use solero_runtime::contention::ContentionConfig;
 use solero_runtime::spin::SpinConfig;
-use solero_runtime::word::COUNTER_STEP;
+use solero_runtime::word::COMPACT_CTR_STEP as COUNTER_STEP;
 
 const PAIR: ClassId = ClassId::new(7);
 

@@ -3,9 +3,10 @@
 //! This crate provides the JVM-runtime machinery that both the
 //! conventional (tasuki) lock and SOLERO are built on:
 //!
-//! * [`word`] — the flat-lock word layouts of the paper's Figures 1
-//!   and 5;
-//! * [`thread`] — non-zero 56-bit thread ids;
+//! * [`word`] — the flat-lock word layouts: Figure 1 for the tasuki
+//!   baseline, and the compact SOLERO word whose counter rides inside
+//!   the held word;
+//! * [`thread`] — non-zero thread ids (20 bits in a SOLERO word);
 //! * [`spin`] — the three-tier contention loops of Figure 3;
 //! * [`contention`] — the history-keyed back-off contention manager
 //!   (arXiv 1305.5800) behind the slow write / fallback probes;
@@ -20,15 +21,15 @@
 //! # Examples
 //!
 //! ```
-//! use solero_runtime::word::SoleroWord;
+//! use solero_runtime::word::CompactWord;
 //! use solero_runtime::thread::ThreadId;
 //!
-//! // A free SOLERO word carries a counter; acquisition replaces it with
-//! // tid|LOCK_BIT and release publishes counter+1.
-//! let free = SoleroWord::with_counter(10);
-//! let held = SoleroWord::held_by(ThreadId::current());
+//! // A free SOLERO word carries a counter; acquisition adds tid|LOCK_BIT
+//! // beside it and release publishes counter+1.
+//! let free = CompactWord::with_counter(10);
+//! let held = CompactWord::held_by(free, ThreadId::current());
 //! assert!(free.is_elidable() && !held.is_elidable());
-//! assert_eq!(free.next_counter().counter(), Some(11));
+//! assert_eq!(held.release_word().counter(), Some(11));
 //! ```
 
 #![warn(missing_docs)]

@@ -9,6 +9,8 @@
 use core::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use solero_obs::AbortReason;
+
 macro_rules! counters {
     ($($(#[$m:meta])* $name:ident),+ $(,)?) => {
         /// Per-lock event counters. All increments are `Relaxed`; the
@@ -129,6 +131,24 @@ counters! {
     /// the slow write / retry-exhausted fallback path (arXiv 1305.5800).
     /// Zero while every probe succeeds without waiting.
     contention_backoffs,
+}
+
+impl LockStats {
+    /// Books one aborted speculative read attempt: the aggregate
+    /// `read_aborts` counter plus the counter of its reason (the
+    /// Figure 15 breakdown). Every lock books aborts here, exactly once
+    /// each, so `read_aborts == abort_reason_sum()` always holds.
+    pub fn note_abort(&self, reason: AbortReason) {
+        self.read_aborts.fetch_add(1, Ordering::Relaxed);
+        let counter = match reason {
+            AbortReason::LockedAtEntry => &self.abort_locked_at_entry,
+            AbortReason::WordChangedAtExit => &self.abort_word_changed_at_exit,
+            AbortReason::AsyncRevalidationFail => &self.abort_async_revalidation,
+            AbortReason::RetryExhaustedFallback => &self.abort_retry_exhausted,
+            AbortReason::Inflation => &self.abort_inflation,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl StatsSnapshot {
@@ -289,6 +309,24 @@ mod tests {
                 "inflation"
             ]
         );
+    }
+
+    #[test]
+    fn note_abort_books_each_reason_once() {
+        let s = LockStats::default();
+        for (i, reason) in AbortReason::ALL.into_iter().enumerate() {
+            for _ in 0..=i {
+                s.note_abort(reason);
+            }
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.read_aborts, 15);
+        assert_eq!(snap.abort_reason_sum(), snap.read_aborts);
+        let counts: Vec<u64> = snap.abort_reasons().iter().map(|(_, n)| *n).collect();
+        assert_eq!(counts, [1, 2, 3, 4, 5]);
+        let names: Vec<&str> = snap.abort_reasons().iter().map(|(n, _)| *n).collect();
+        let reasons: Vec<&str> = AbortReason::ALL.iter().map(|r| r.name()).collect();
+        assert_eq!(names, reasons, "counter order follows the taxonomy");
     }
 
     #[test]

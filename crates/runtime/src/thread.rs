@@ -1,9 +1,24 @@
 //! Thread identity.
 //!
 //! The flat-lock fast paths write the owning thread's id into the lock
-//! word, so ids must be non-zero (zero means "free") and fit the 56-bit
-//! upper field. The JVM hands out such ids at thread start; we do the
+//! word, so ids must be non-zero (zero means "free") and fit the word's
+//! tid field. The JVM hands out such ids at thread start; we do the
 //! same with a process-global registry and a thread-local cache.
+//!
+//! Two fields bound the id space. The tasuki baseline's
+//! [`ConvWord`](crate::word::ConvWord) has the 56-bit upper field, which
+//! is what [`ThreadId::allocate`] enforces. A SOLERO lock's
+//! [`CompactWord`](crate::word::CompactWord) holds only 20 bits
+//! ([`COMPACT_TID_MAX`](crate::word::COMPACT_TID_MAX) = 1 048 575), and
+//! [`CompactWord::held_by`](crate::word::CompactWord::held_by) asserts
+//! that bound in every build profile. Ids are never recycled, so a
+//! process that starts more than about a million threads over its
+//! lifetime and then takes a SOLERO lock panics there. The model
+//! checker comes closest: it runs every execution on fresh OS threads.
+//! Run uncapped with one test thread, each of the nine mc test binaries
+//! that build SOLERO locks stays below 2^19 = 524 288 ids (the heaviest,
+//! `compact_mc`, passes 458 752), so the 20-bit field has about 2×
+//! headroom.
 
 use core::fmt;
 use core::num::NonZeroU64;
@@ -11,7 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::word::{FIELD_MAX, FIELD_SHIFT};
 
-/// A non-zero thread id that fits the lock word's 56-bit field.
+/// A non-zero thread id that fits the tasuki word's 56-bit field; a
+/// SOLERO lock word holds ids up to 2^20 − 1 (see the module docs).
 ///
 /// # Examples
 ///

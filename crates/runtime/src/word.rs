@@ -19,17 +19,18 @@
 //!   the upper field is the sequence counter.
 //! * `rec` — recursion count of the flat-lock owner.
 //!
-//! The newtypes [`ConvWord`] and [`SoleroWord`] wrap raw `u64` values and
-//! expose the layouts; they are deliberately `Copy` value types — the
-//! atomic cell holding a word lives in the lock implementations.
-//!
-//! A third layout, [`CompactWord`], adopts the Compact Java Monitors
-//! header (Dice & Kogan, arXiv 2102.04188) for the millions-of-objects
-//! regime: the counter and thread-id fields coexist instead of sharing
-//! bits, so the word is self-contained across every transition:
+//! [`ConvWord`] implements Figure 1 for the tasuki baseline. SOLERO
+//! locks keep Figure 5's low byte but not its upper field: there the
+//! counter and the owner's id share one field, so the acquiring CAS
+//! overwrites the counter and the owner must carry it elsewhere (the
+//! paper's *local lock variable*) until release, or until inflation
+//! needs it. [`CompactWord`] adopts the Compact Java Monitors header
+//! (Dice & Kogan, arXiv 2102.04188) instead: the counter and thread-id
+//! fields coexist, so the word is self-contained across every
+//! transition:
 //!
 //! ```text
-//! Compact flat lock
+//! SOLERO flat lock (compact)
 //! ┌──────────────┬──────────────┬─────────┬───┬───┬───┐
 //! │ ctr (36)     │ tid (20)     │ rec (5) │LCK│FLC│INF│
 //! └──────────────┴──────────────┴─────────┴───┴───┴───┘
@@ -37,11 +38,15 @@
 //! ```
 //!
 //! While held, the displaced sequence counter stays **in the word**
-//! (bits 28..=63) alongside the owner's id — no out-of-band `saved_v1`
-//! cell — so an embedded compact lock is exactly eight bytes. While
+//! (bits 28..=63) alongside the owner's id, so a lock is exactly eight
+//! bytes and no release or inflation path needs a side cell. While
 //! inflated, the word is a monitor id (bits 8..=63) plus `INF`, and all
 //! contended/wait-set state lives in the global hashed
 //! [`MonitorTable`](crate::osmonitor::MonitorTable).
+//!
+//! Both newtypes wrap raw `u64` values and are deliberately `Copy`
+//! value types — the atomic cell holding a word lives in the lock
+//! implementations.
 
 use core::fmt;
 
@@ -54,13 +59,12 @@ pub const FLC_BIT: u64 = 0x2;
 /// Bit 2 (SOLERO): the flat lock is held.
 pub const LOCK_BIT: u64 = 0x4;
 
-/// Shift of the upper field (thread id, counter, or monitor id).
+/// Shift of the upper field (thread id or monitor id).
 pub const FIELD_SHIFT: u32 = 8;
-/// Increment applied to the SOLERO counter on each release (`+ 0x100`).
-pub const COUNTER_STEP: u64 = 1 << FIELD_SHIFT;
 /// Width of the upper field in bits.
 pub const FIELD_BITS: u32 = 64 - FIELD_SHIFT;
-/// Maximum value representable in the upper (thread-id / counter) field.
+/// Maximum value representable in the upper (thread-id / monitor-id)
+/// field.
 pub const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
 
 /// Conventional layout: recursion occupies bits 2..=7, step `0x4`.
@@ -266,190 +270,6 @@ impl fmt::LowerHex for ConvWord {
     }
 }
 
-/// A SOLERO flat-lock word — the paper's Figure 5.
-///
-/// While **free** (low three bits clear) the upper field is a sequence
-/// counter; every writing critical section leaves it at a new value.
-/// While **held** the lock bit is set and the upper field is the owner's
-/// thread id. Inflation and FLC work as in the conventional layout.
-///
-/// # Examples
-///
-/// ```
-/// use solero_runtime::word::SoleroWord;
-/// use solero_runtime::thread::ThreadId;
-///
-/// let free = SoleroWord::with_counter(41);
-/// assert!(free.is_elidable());
-/// let tid = ThreadId::from_raw(9).unwrap();
-/// let held = SoleroWord::held_by(tid);
-/// assert!(held.is_held_flat());
-/// // Releasing increments the *pre-acquisition* counter value:
-/// let released = free.next_counter();
-/// assert_eq!(released.counter(), Some(42));
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct SoleroWord(pub u64);
-
-impl SoleroWord {
-    /// The initial word: counter zero, all flag bits clear.
-    pub const INIT: SoleroWord = SoleroWord(0);
-
-    /// Word holding counter value `c` with all flag bits clear.
-    #[inline]
-    pub fn with_counter(c: u64) -> Self {
-        debug_assert!(c <= FIELD_MAX);
-        SoleroWord(c << FIELD_SHIFT)
-    }
-
-    /// Word representing a first acquisition by `tid` (`tid | LOCK_BIT`).
-    #[inline]
-    pub fn held_by(tid: ThreadId) -> Self {
-        SoleroWord(tid.field_bits() | LOCK_BIT)
-    }
-
-    /// Word representing inflation to monitor `monitor_id`.
-    #[inline]
-    pub fn inflated(monitor_id: u64) -> Self {
-        debug_assert!(monitor_id <= FIELD_MAX);
-        SoleroWord((monitor_id << FIELD_SHIFT) | INFLATION_BIT)
-    }
-
-    /// Raw value.
-    #[inline]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// True if a read-only section may proceed optimistically:
-    /// `(w & 0x7) == 0` — not held, not inflated, no pending contention.
-    #[inline]
-    pub fn is_elidable(self) -> bool {
-        self.0 & SOLERO_FAST_MASK == 0
-    }
-
-    /// True if the lock bit is set (flat lock held).
-    #[inline]
-    pub fn is_held_flat(self) -> bool {
-        self.0 & LOCK_BIT != 0
-    }
-
-    /// True if the inflation bit is set.
-    #[inline]
-    pub fn is_inflated(self) -> bool {
-        self.0 & INFLATION_BIT != 0
-    }
-
-    /// True if the FLC bit is set.
-    #[inline]
-    pub fn has_flc(self) -> bool {
-        self.0 & FLC_BIT != 0
-    }
-
-    /// The counter value, if the word is in the free/counter state.
-    #[inline]
-    pub fn counter(self) -> Option<u64> {
-        if self.is_elidable() {
-            Some(self.0 >> FIELD_SHIFT)
-        } else {
-            None
-        }
-    }
-
-    /// The owner thread id, if held flat.
-    #[inline]
-    pub fn tid(self) -> Option<ThreadId> {
-        if self.is_held_flat() && !self.is_inflated() {
-            ThreadId::from_raw(self.0 >> FIELD_SHIFT)
-        } else {
-            None
-        }
-    }
-
-    /// Monitor id, if inflated.
-    #[inline]
-    pub fn monitor_id(self) -> Option<u64> {
-        if self.is_inflated() {
-            Some(self.0 >> FIELD_SHIFT)
-        } else {
-            None
-        }
-    }
-
-    /// Recursion count of the flat owner.
-    #[inline]
-    pub fn recursion(self) -> u64 {
-        (self.0 & SOLERO_RECURSION_MASK) / SOLERO_RECURSION_STEP
-    }
-
-    /// Word with the recursion count incremented (`+ 0x8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in every build profile) if the count is already at
-    /// [`SOLERO_RECURSION_MAX`]: one more step would carry into the
-    /// tid field. The lock implementations inflate before saturation.
-    #[inline]
-    pub fn recurse(self) -> Self {
-        assert!(
-            self.recursion() < SOLERO_RECURSION_MAX,
-            "SoleroWord recursion overflow: depth {} would carry into the tid field",
-            self.recursion()
-        );
-        SoleroWord(self.0 + SOLERO_RECURSION_STEP)
-    }
-
-    /// Word with the recursion count decremented (`- 0x8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in every build profile) if the count is already zero.
-    #[inline]
-    pub fn unrecurse(self) -> Self {
-        assert!(
-            self.recursion() > 0,
-            "SoleroWord recursion underflow: unrecurse on a non-recursed word"
-        );
-        SoleroWord(self.0 - SOLERO_RECURSION_STEP)
-    }
-
-    /// True if the fast-path release test passes
-    /// (`(w & 0xff) == LOCK_BIT`): held, recursion zero, no FLC, thin.
-    #[inline]
-    pub fn fast_releasable(self) -> bool {
-        self.0 & LOW_MASK == LOCK_BIT
-    }
-
-    /// The word a release publishes, given the word read **before** the
-    /// acquiring CAS (the local lock variable `v1` of Figure 6):
-    /// `v1 + 0x100`, advancing the sequence counter.
-    #[inline]
-    pub fn next_counter(self) -> Self {
-        debug_assert!(self.is_elidable());
-        SoleroWord(self.0.wrapping_add(COUNTER_STEP))
-    }
-
-    /// Word with the FLC bit set.
-    #[inline]
-    pub fn with_flc(self) -> Self {
-        SoleroWord(self.0 | FLC_BIT)
-    }
-
-    /// Word with the FLC bit cleared.
-    #[inline]
-    pub fn without_flc(self) -> Self {
-        SoleroWord(self.0 & !FLC_BIT)
-    }
-
-    /// True if the word's low **two** bits indicate the slow read path
-    /// must go to the monitor (`(v & 0x3) != 0` in Figure 8): the lock is
-    /// inflated or contended rather than merely held.
-    #[inline]
-    pub fn needs_monitor(self) -> bool {
-        self.0 & (INFLATION_BIT | FLC_BIT) != 0
-    }
-}
-
 /// Shift of the compact counter field (bits 28..=63).
 pub const COMPACT_CTR_SHIFT: u32 = 28;
 /// Increment applied to the compact counter on each release.
@@ -469,13 +289,14 @@ pub const COMPACT_TID_MAX: u64 = (1 << COMPACT_TID_BITS) - 1;
 /// Mask selecting the compact thread-id bits.
 pub const COMPACT_TID_MASK: u64 = COMPACT_TID_MAX << COMPACT_TID_SHIFT;
 
-/// A compact flat-lock word (Compact Java Monitors, arXiv 2102.04188).
+/// The SOLERO flat-lock word in the Compact Java Monitors layout
+/// (arXiv 2102.04188).
 ///
-/// Unlike [`SoleroWord`], the counter and thread-id fields coexist:
-/// bits 28..=63 are **always** the sequence counter while the word is
-/// thin (free or held), and bits 8..=27 are the owner's thread id while
-/// held. The displaced counter therefore travels inside the word across
-/// acquire/release, so a compact lock needs no side `saved_v1` cell and
+/// Unlike the paper's Figure 5 word, the counter and thread-id fields
+/// coexist: bits 28..=63 are **always** the sequence counter while the
+/// word is thin (free or held), and bits 8..=27 are the owner's thread
+/// id while held. The displaced counter therefore travels inside the
+/// word across acquire/release, so a lock needs no side cell for it and
 /// is exactly eight bytes embedded in an object.
 ///
 /// While inflated the whole upper field (bits 8..=63) is a monitor id —
@@ -483,10 +304,12 @@ pub const COMPACT_TID_MASK: u64 = COMPACT_TID_MAX << COMPACT_TID_SHIFT;
 /// to match the monitor resolved from the global table, which is what
 /// makes deflation + table removal safe against racing contenders.
 ///
-/// The narrower 36-bit counter wraps off bit 63 roughly every 64 billion
-/// writes per lock; an elided reader would have to sleep across an exact
-/// multiple of 2^36 writes to mis-validate, the same ABA bound the
-/// 56-bit layout has at 2^56.
+/// The 36-bit counter wraps off bit 63 roughly every 64 billion writes
+/// per lock; an elided reader would have to sleep across an exact
+/// multiple of 2^36 writes to mis-validate (Figure 5's 56-bit field
+/// puts that bound at 2^56). The 20-bit tid field holds ids up to
+/// [`COMPACT_TID_MAX`]; [`held_by`](Self::held_by) asserts the bound in
+/// every build profile.
 ///
 /// # Examples
 ///
@@ -605,7 +428,7 @@ impl CompactWord {
         }
     }
 
-    /// Recursion count of the flat owner (same bits as [`SoleroWord`]).
+    /// Recursion count of the flat owner (Figure 5's bits 3..=7).
     #[inline]
     pub fn recursion(self) -> u64 {
         (self.0 & SOLERO_RECURSION_MASK) / SOLERO_RECURSION_STEP
@@ -726,48 +549,6 @@ impl fmt::LowerHex for CompactWord {
     }
 }
 
-impl fmt::Debug for SoleroWord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SoleroWord")
-            .field("raw", &format_args!("{:#x}", self.0))
-            .field("inflated", &self.is_inflated())
-            .field("flc", &self.has_flc())
-            .field("held", &self.is_held_flat())
-            .field("recursion", &self.recursion())
-            .field("field", &(self.0 >> FIELD_SHIFT))
-            .finish()
-    }
-}
-
-impl fmt::Display for SoleroWord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_inflated() {
-            write!(f, "inflated(monitor={})", self.0 >> FIELD_SHIFT)
-        } else if self.is_held_flat() {
-            write!(
-                f,
-                "held(tid={}, rec={}{})",
-                self.0 >> FIELD_SHIFT,
-                self.recursion(),
-                if self.has_flc() { ", flc" } else { "" }
-            )
-        } else {
-            write!(
-                f,
-                "free(ctr={}{})",
-                self.0 >> FIELD_SHIFT,
-                if self.has_flc() { ", flc" } else { "" }
-            )
-        }
-    }
-}
-
-impl fmt::LowerHex for SoleroWord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,106 +639,14 @@ mod tests {
     }
 
     #[test]
-    fn solero_init_elidable() {
-        let w = SoleroWord::INIT;
-        assert!(w.is_elidable());
-        assert_eq!(w.counter(), Some(0));
-        assert!(!w.is_held_flat());
-    }
-
-    #[test]
-    fn solero_counter_advances_by_release() {
-        let w = SoleroWord::with_counter(7);
-        let next = w.next_counter();
-        assert_eq!(next.counter(), Some(8));
-        assert_ne!(w, next);
-    }
-
-    #[test]
-    fn solero_held_word_matches_figure6() {
-        let t = tid(42);
-        let held = SoleroWord::held_by(t);
-        // Figure 6: val = thread_id + LOCK_BIT.
-        assert_eq!(held.raw(), t.field_bits() | LOCK_BIT);
-        assert!(held.is_held_flat());
-        assert!(held.fast_releasable());
-        assert_eq!(held.tid(), Some(t));
-        assert!(!held.is_elidable());
-    }
-
-    #[test]
-    fn solero_recursion_blocks_fast_release() {
-        let w = SoleroWord::held_by(tid(1)).recurse();
-        assert_eq!(w.recursion(), 1);
-        assert!(!w.fast_releasable());
-        assert!(w.unrecurse().fast_releasable());
-    }
-
-    #[test]
-    fn solero_recursion_saturation_bound() {
-        let mut w = SoleroWord::held_by(tid(1));
-        for _ in 0..SOLERO_RECURSION_MAX {
-            w = w.recurse();
-        }
-        assert_eq!(w.recursion(), SOLERO_RECURSION_MAX);
-        assert_eq!(SOLERO_RECURSION_MAX, 31);
-        assert_eq!(w.tid(), Some(tid(1)), "tid intact at saturation");
-    }
-
-    #[test]
-    #[should_panic(expected = "SoleroWord recursion overflow")]
-    fn solero_recursion_overflow_panics_in_release() {
-        let mut w = SoleroWord::held_by(tid(1));
-        for _ in 0..SOLERO_RECURSION_MAX {
-            w = w.recurse();
-        }
-        let _ = w.recurse();
-    }
-
-    #[test]
-    #[should_panic(expected = "SoleroWord recursion underflow")]
-    fn solero_unrecurse_underflow_panics_in_release() {
-        let _ = SoleroWord::held_by(tid(1)).unrecurse();
-    }
-
-    #[test]
-    fn solero_inflated_never_elidable() {
-        let w = SoleroWord::inflated(4);
-        assert!(!w.is_elidable());
-        assert!(w.needs_monitor());
-        assert_eq!(w.monitor_id(), Some(4));
-        assert_eq!(w.counter(), None);
-    }
-
-    #[test]
-    fn solero_flc_needs_monitor() {
-        let w = SoleroWord::held_by(tid(2)).with_flc();
-        assert!(w.needs_monitor());
-        assert!(!w.is_elidable());
-        let plain = SoleroWord::held_by(tid(2));
-        assert!(!plain.needs_monitor(), "merely-held spins, no monitor");
-    }
-
-    #[test]
     fn display_formats_are_nonempty() {
         for s in [
             format!("{}", ConvWord::FREE),
             format!("{}", ConvWord::held_by(tid(1))),
             format!("{}", ConvWord::inflated(2)),
-            format!("{}", SoleroWord::INIT),
-            format!("{}", SoleroWord::held_by(tid(1))),
-            format!("{}", SoleroWord::inflated(2)),
         ] {
             assert!(!s.is_empty());
         }
-    }
-
-    #[test]
-    fn counter_wraps_without_entering_flag_bits() {
-        let w = SoleroWord::with_counter(FIELD_MAX);
-        let next = w.next_counter();
-        // Wrap-around folds back into the counter field, never the low bits.
-        assert_eq!(next.raw() & LOW_MASK, 0);
     }
 
     #[test]

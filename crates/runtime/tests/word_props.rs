@@ -4,12 +4,18 @@
 
 use solero_runtime::thread::ThreadId;
 use solero_runtime::word::{
-    ConvWord, SoleroWord, CONV_RECURSION_MAX, FIELD_MAX, SOLERO_RECURSION_MAX,
+    CompactWord, ConvWord, COMPACT_CTR_MAX, COMPACT_TID_MAX, CONV_RECURSION_MAX, FIELD_MAX,
+    LOCK_BIT, SOLERO_RECURSION_MAX,
 };
 use solero_testkit::{forall, TestRng};
 
 fn gen_tid(rng: &mut TestRng) -> ThreadId {
     ThreadId::from_raw(rng.gen_range(1u64..=FIELD_MAX)).unwrap()
+}
+
+/// A thread id that fits the SOLERO word's 20-bit tid field.
+fn gen_compact_tid(rng: &mut TestRng) -> ThreadId {
+    ThreadId::from_raw(rng.gen_range(1u64..=COMPACT_TID_MAX)).unwrap()
 }
 
 #[test]
@@ -47,19 +53,19 @@ fn conv_inflated_words_decode() {
 }
 
 #[test]
-fn solero_state_predicates_are_exclusive() {
+fn compact_state_predicates_are_exclusive() {
     forall(256, 0xC0_4D_03, |g| {
-        let tid = gen_tid(g.rng());
-        let counter = g.gen_range(0u64..=FIELD_MAX);
+        let tid = gen_compact_tid(g.rng());
+        let counter = g.gen_range(0u64..=COMPACT_CTR_MAX);
         let monitor = g.gen_range(1u64..=FIELD_MAX);
         let rec = g.gen_range(0u64..=SOLERO_RECURSION_MAX);
 
-        let free = SoleroWord::with_counter(counter);
-        let mut held = SoleroWord::held_by(tid);
+        let free = CompactWord::with_counter(counter);
+        let mut held = CompactWord::held_by(free, tid);
         for _ in 0..rec {
             held = held.recurse();
         }
-        let fat = SoleroWord::inflated(monitor);
+        let fat = CompactWord::inflated(monitor);
 
         // Exactly one of the three states per word.
         assert!(free.is_elidable() && !free.is_held_flat() && !free.is_inflated());
@@ -86,29 +92,31 @@ fn solero_state_predicates_are_exclusive() {
 }
 
 #[test]
-fn solero_release_always_changes_the_word() {
+fn compact_release_always_changes_the_word() {
     forall(256, 0xC0_4D_04, |g| {
-        let counter = g.gen_range(0u64..=FIELD_MAX);
+        let tid = gen_compact_tid(g.rng());
+        let counter = g.gen_range(0u64..=COMPACT_CTR_MAX);
         // The elision protocol's core invariant: a write section's
         // release never republishes the pre-acquisition word.
-        let v1 = SoleroWord::with_counter(counter);
-        let released = v1.next_counter();
+        let v1 = CompactWord::with_counter(counter);
+        let released = CompactWord::held_by(v1, tid).release_word();
         assert_ne!(released, v1);
         assert!(released.is_elidable(), "released word is free again");
     });
 }
 
 #[test]
-fn solero_counter_chain_never_repeats_within_field_range() {
+fn compact_counter_chain_never_repeats_within_field_range() {
     forall(64, 0xC0_4D_05, |g| {
-        let start = g.gen_range(0u64..=FIELD_MAX - 1000);
+        let tid = gen_compact_tid(g.rng());
+        let start = g.gen_range(0u64..=COMPACT_CTR_MAX - 1000);
         let steps = g.size(1, 1000);
-        // Successive releases produce pairwise distinct counter words as
-        // long as the 56-bit space does not wrap (the paper: > 68 years).
-        let mut w = SoleroWord::with_counter(start);
+        // Successive write sections produce pairwise distinct counter
+        // words as long as the 36-bit counter does not wrap.
+        let mut w = CompactWord::with_counter(start);
         let first = w;
         for _ in 0..steps {
-            let next = w.next_counter();
+            let next = CompactWord::held_by(w, tid).release_word();
             assert_ne!(next, w);
             assert_ne!(next, first);
             w = next;
@@ -118,11 +126,12 @@ fn solero_counter_chain_never_repeats_within_field_range() {
 }
 
 #[test]
-fn held_word_equals_figure6_encoding() {
+fn compact_held_word_encodes_counter_tid_and_lock_bit() {
     forall(256, 0xC0_4D_06, |g| {
-        let tid = gen_tid(g.rng());
-        // Figure 6 line 4: val = thread_id + LOCK_BIT.
-        let w = SoleroWord::held_by(tid);
-        assert_eq!(w.raw(), tid.field_bits() + 0x4);
+        let tid = gen_compact_tid(g.rng());
+        let counter = g.gen_range(0u64..=COMPACT_CTR_MAX);
+        // Figure 6 line 4's `thread_id + LOCK_BIT`, beside the counter.
+        let w = CompactWord::held_by(CompactWord::with_counter(counter), tid);
+        assert_eq!(w.raw(), counter << 28 | tid.as_u64() << 8 | LOCK_BIT);
     });
 }

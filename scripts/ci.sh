@@ -52,10 +52,14 @@ rm -f results/obs.jsonl
 # sampling mode and SOLERO_MC_BUDGET caps executions per scenario — so
 # a failing schedule printed in CI can be replayed locally
 # byte-for-byte. This run is uncapped: completeness assertions are
-# live.
+# live. It runs one test thread per binary, like the budgeted steps
+# below: scenarios in one binary (bravo_mc's three, for one) share
+# process state, and on parallel test threads they hang or fail
+# replay with "DPOR prefix diverged".
 echo "== tier-1: model checker (exhaustive 2-thread, DPOR 3-thread) =="
 RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
-    cargo test -q --offline -p solero-sync -p solero-mc
+    cargo test -q --offline -p solero-sync -p solero-mc \
+    -- --test-threads=1
 
 # The mutation-kill harness flips each test-only protocol weakening
 # (skip the exit re-read, demote it to Relaxed, stall the release

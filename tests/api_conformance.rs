@@ -5,7 +5,7 @@ use solero::{Fault, SoleroConfig, SoleroLock, SyncStrategy};
 use solero_heap::{Heap, ObjRef};
 use solero_jit::interp::Interpreter;
 use solero_runtime::stats::StatsSnapshot;
-use solero_runtime::word::{ConvWord, SoleroWord};
+use solero_runtime::word::{CompactWord, ConvWord};
 use solero_rwlock::{BravoLock, BravoPolicy, JavaRwLock, RawRwLock, ReadToken};
 use solero_tasuki::TasukiLock;
 
@@ -77,7 +77,7 @@ fn errors_are_well_behaved() {
 fn value_types_are_copy_eq_hash_debug() {
     fn is_value<T: Copy + Eq + std::hash::Hash + std::fmt::Debug>() {}
     is_value::<ConvWord>();
-    is_value::<SoleroWord>();
+    is_value::<CompactWord>();
     is_value::<ObjRef>();
     is_value::<solero_heap::ClassId>();
     is_value::<Fault>();
@@ -110,7 +110,7 @@ fn debug_representations_are_never_empty() {
         format!("{:?}", solero_rwlock::visible::global()),
         format!("{:?}", StatsSnapshot::default()),
         format!("{:?}", ConvWord::FREE),
-        format!("{:?}", SoleroWord::INIT),
+        format!("{:?}", CompactWord::INIT),
         format!("{:?}", ObjRef::NULL),
         format!("{:?}", Fault::NullPointer),
         format!("{:?}", SoleroConfig::default()),
