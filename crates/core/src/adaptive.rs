@@ -253,9 +253,7 @@ impl AdaptivePolicy {
 
     /// Records one successful elision. Returns `true` on a re-arm tick:
     /// `rearm_period` consecutive successes elapsed, one penalty level
-    /// decayed everywhere and every budget refilled (the caller decays
-    /// its [`RecentAborts`](solero_obs::RecentAborts) history on the
-    /// same tick).
+    /// decayed everywhere and every budget refilled.
     #[inline]
     pub fn on_elided(&self) -> bool {
         let st = &self.state.0;

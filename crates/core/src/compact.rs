@@ -25,11 +25,12 @@
 //!
 //! A shared space carries no adaptive policy: per-lock abort histories
 //! are precisely the per-object state this layout exists to avoid.
-//! Adaptive elision remains a [`SoleroLock`](crate::SoleroLock) feature.
+//! Adaptive elision remains a per-lock feature of
+//! [`SoleroLock`](crate::SoleroLock) and [`SeqLock`](crate::SeqLock),
+//! which each own a space of one lock.
 
 use solero_sync::atomic::{AtomicU64, Ordering};
 
-use solero_obs::RecentAborts;
 use solero_runtime::fault::Fault;
 use solero_runtime::osmonitor::{MonitorKey, MonitorTable};
 use solero_runtime::stats::LockStats;
@@ -38,16 +39,17 @@ use solero_runtime::word::CompactWord;
 
 use crate::adaptive::AdaptivePolicy;
 use crate::config::SoleroConfig;
+use crate::read::LockWord;
 
 /// Shared configuration and statistics for a population of compact
 /// locks.
 ///
 /// Individual locks are bare eight-byte words ([`CompactLock`], or any
 /// `AtomicU64` slot such as a heap cell); a `CompactSpace` holds
-/// everything that would otherwise bloat them — the [`SoleroConfig`],
-/// the aggregate [`LockStats`], and the recent-abort history. All
-/// counters aggregate across the population, and the taxonomy invariant
-/// `read_aborts == abort_reason_sum()` holds space-wide.
+/// everything that would otherwise bloat them — the [`SoleroConfig`]
+/// and the aggregate [`LockStats`]. All counters aggregate across the
+/// population, and the taxonomy invariant `read_aborts ==
+/// abort_reason_sum()` holds space-wide.
 ///
 /// # Examples
 ///
@@ -71,7 +73,6 @@ use crate::config::SoleroConfig;
 pub struct CompactSpace {
     config: SoleroConfig,
     stats: LockStats,
-    recent: RecentAborts,
 }
 
 impl Default for CompactSpace {
@@ -92,7 +93,6 @@ impl CompactSpace {
         CompactSpace {
             config,
             stats: LockStats::default(),
-            recent: RecentAborts::new(),
         }
     }
 
@@ -104,11 +104,6 @@ impl CompactSpace {
     /// Aggregate statistics across every lock in the space.
     pub fn stats(&self) -> &LockStats {
         &self.stats
-    }
-
-    /// Aggregate per-class recent-abort history.
-    pub fn recent_aborts(&self) -> &RecentAborts {
-        &self.recent
     }
 
     /// Binds a raw lock word to this space under `key`, yielding the

@@ -53,10 +53,10 @@
 //!   inflated state in the global generation-keyed monitor table —
 //!   per-object footprint for millions-of-objects heaps;
 //! * [`SeqLock`] / [`SeqStrategy`] — the inline-data seqlock fast path
-//!   for small `Copy` read-mostly payloads: the payload lives beside
-//!   the sequence word (one cache line, no heap indirection), readers
-//!   validate with the same abort taxonomy, and writers contend under
-//!   the history-keyed back-off of
+//!   for small `Copy` read-mostly payloads: the payload follows the
+//!   sequence word (no heap indirection), readers run the same elision
+//!   driver as [`SoleroLock`] over the even/odd word, and writers
+//!   contend under the history-keyed back-off of
 //!   [`ContentionConfig`](solero_runtime::contention::ContentionConfig);
 //! * [`SyncStrategy`] with [`LockStrategy`], [`RwStrategy`] (over any
 //!   [`RawRwLock`]: the `RWLock` baseline [`JavaRwLock`] or the BRAVO
@@ -102,4 +102,3 @@ pub use strategy::{BravoStrategy, LockStrategy, RwStrategy, SoleroStrategy, Sync
 pub use solero_rwlock::{BravoLock, BravoPolicy, JavaRwLock, RawRwLock};
 
 pub use solero_runtime::fault::Fault;
-pub use solero_obs::RecentAborts;

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use solero_sync::atomic::{AtomicU64, Ordering};
 
-use solero_obs::{AbortReason, EventKind, LockEvent, RecentAborts};
+use solero_obs::{EventKind, LockEvent};
 use solero_runtime::osmonitor::{next_lock_gen, MonitorKey, MonitorTable, OsMonitor};
 use solero_runtime::spin::Probe;
 use solero_runtime::stats::LockStats;
@@ -34,6 +34,7 @@ use solero_runtime::word::{
 use crate::adaptive::AdaptivePolicy;
 use crate::compact::{CompactRef, CompactSpace};
 use crate::config::SoleroConfig;
+use crate::read::LockWord;
 
 /// Timed-wait interval for FLC waiters (see
 /// `OsMonitor::wait_timeout` for why the wait is timed).
@@ -66,9 +67,7 @@ const FLC_RECHECK: Duration = Duration::from_millis(1);
 pub struct SoleroLock {
     /// The lock word ([`CompactWord`] layout).
     word: AtomicU64,
-    /// Configuration, statistics and recent-abort history: a space of
-    /// one lock. The recent-abort history decays on adaptive re-arm
-    /// ticks and keeps plain totals on non-adaptive locks.
+    /// Configuration and statistics: a space of one lock.
     space: CompactSpace,
     /// The adaptive elision policy, present iff `config.adaptive` is.
     policy: Option<AdaptivePolicy>,
@@ -141,14 +140,6 @@ impl SoleroLock {
     /// Per-lock statistics counters.
     pub fn stats(&self) -> &LockStats {
         self.space.stats()
-    }
-
-    /// Per-class recent-abort history — always compiled in, readable
-    /// without the `solero-obs` `trace` feature. On an adaptive lock
-    /// the history decays geometrically at every re-arm tick; on a
-    /// plain lock it accumulates totals.
-    pub fn recent_aborts(&self) -> &RecentAborts {
-        self.space.recent_aborts()
     }
 
     /// The adaptive elision policy, if this lock was configured with
@@ -271,53 +262,6 @@ impl Drop for SoleroLock {
 
 /// The write side of the protocol, shared by every SOLERO lock word.
 impl<'a> CompactRef<'a> {
-    /// Stable lock identity for observability events.
-    #[inline]
-    pub(crate) fn obs_id(self) -> u64 {
-        self.key.addr as u64
-    }
-
-    /// Classifies one aborted speculative read attempt: the stats
-    /// taxonomy (Figure 15), the recent-abort history, the adaptive
-    /// policy and the trace event. Every abort goes through here
-    /// exactly once.
-    #[cold]
-    pub(crate) fn note_abort(self, reason: AbortReason) {
-        let stats = self.stats();
-        stats.note_abort(reason);
-        self.space.recent_aborts().note(reason);
-        if let Some(p) = self.policy {
-            if p.on_abort(reason) {
-                stats.policy_disables.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Abort(reason)));
-    }
-
-    /// Books one successful elision: the counter, plus the adaptive
-    /// policy's success streak (a re-arm tick also decays the
-    /// recent-abort history, so "recent" means an exponentially
-    /// weighted window on adaptive locks).
-    #[inline]
-    pub(crate) fn note_elided(self) {
-        self.stats().elision_success.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.policy {
-            if p.on_elided() {
-                self.space.recent_aborts().decay();
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn stats(self) -> &'a LockStats {
-        self.space.stats()
-    }
-
-    #[inline]
-    pub(crate) fn config(self) -> &'a SoleroConfig {
-        self.space.config()
-    }
-
     /// The word, as loaded with `order`.
     #[inline]
     pub(crate) fn load(self, order: Ordering) -> CompactWord {

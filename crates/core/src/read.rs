@@ -2,9 +2,9 @@
 //!
 //! The driver implements the paper's retry/fallback protocol:
 //!
-//! 1. Capture the lock word; if its low three bits are clear, run the
-//!    section speculatively; otherwise take the slow entry (recursion,
-//!    spin, or the monitor).
+//! 1. Capture the lock word; if it is free, run the section
+//!    speculatively; otherwise take the slow entry (recursion, spin, or
+//!    the monitor).
 //! 2. On completion, re-read the word. Unchanged ⇒ the lock was free for
 //!    the whole section and the reads are consistent — done, with no
 //!    write to the lock word. Changed ⇒ the attempt failed.
@@ -14,26 +14,32 @@
 //! 4. After `fallback_threshold` failed attempts, acquire the lock and
 //!    re-execute non-speculatively (starvation freedom).
 //!
-//! Like the write side, the driver is written once, as methods of
-//! [`CompactRef`]; [`SoleroLock`] and
-//! [`CompactRef::read_only`](crate::CompactRef::read_only) delegate to
-//! it.
+//! The driver is written once, as the provided methods of [`LockWord`],
+//! generic over the few operations where lock words differ. Two words
+//! implement it: [`CompactRef`] (the SOLERO word behind [`SoleroLock`]
+//! and [`CompactRef::read_only`](crate::CompactRef::read_only)) and the
+//! [`SeqLock`](crate::SeqLock) sequence word.
 
-use solero_sync::atomic::Ordering;
+use std::marker::PhantomData;
+
+use solero_sync::atomic::{AtomicU64, Ordering};
 
 use solero_obs::{AbortReason, EventKind, LockEvent};
 use solero_runtime::fault::Fault;
 use solero_runtime::spin::Probe;
+use solero_runtime::stats::LockStats;
 use solero_runtime::thread::ThreadId;
+use solero_runtime::word::CompactWord;
 
-use crate::adaptive::EntryDecision;
-use crate::compact::CompactRef;
-use crate::config::ElisionMode;
+use crate::adaptive::{AdaptivePolicy, EntryDecision};
+use crate::compact::{CompactRef, CompactSpace};
+use crate::config::{ElisionMode, SoleroConfig};
 use crate::lock::SoleroLock;
 use crate::session::{MostlySession, ReadSession};
 
 /// Outcome of settling one execution attempt.
-enum Settled<R> {
+#[derive(Debug)]
+pub enum Settled<R> {
     /// The section is finished (successfully or with a genuine fault).
     Done(Result<R, Fault>),
     /// The attempt failed; add this many failures and re-execute.
@@ -117,6 +123,7 @@ impl SoleroLock {
                 v: s.v,
                 held: s.held,
                 poll: s.poll.clone(),
+                _word: PhantomData,
             });
             let r = f(&mut m);
             s.held = m.0.held;
@@ -126,16 +133,102 @@ impl SoleroLock {
     }
 }
 
-/// The read side of the protocol, shared by every SOLERO lock word.
-impl<'a> CompactRef<'a> {
+/// A lock word the read driver runs on.
+///
+/// The required methods are the operations where words differ; they
+/// hide the word format from the driver, which sees only a raw `u64`
+/// to capture and validate. A held section carries a `v` of the word's
+/// choosing into its exit. The provided methods are the driver itself,
+/// the same for every word: the inlined Figure 7 fast path, the
+/// retry/fallback loop, the fault triage and the abort booking.
+pub trait LockWord<'a>: Copy {
+    /// The lock's configuration and statistics.
+    fn space(self) -> &'a CompactSpace;
+
+    /// The lock's adaptive elision policy, if it has one.
+    fn policy(self) -> Option<&'a AdaptivePolicy>;
+
+    /// The word a speculative section captures and validates.
+    fn word(self) -> &'a AtomicU64;
+
+    /// Stable lock identity for observability events.
+    fn obs_id(self) -> u64;
+
+    /// True if a section may speculate on the word value `raw`.
+    fn is_free(raw: u64) -> bool;
+
+    /// Slow entry for a word that was busy at entry (Figure 8):
+    /// `Some((v, false))` once the word is free again at `v`,
+    /// `Some((v, true))` to run the attempt under the held lock, `None`
+    /// to send the section to the retry-exhausted fallback.
+    fn slow_read_enter(self, tid: ThreadId) -> Option<(u64, bool)>;
+
+    /// Read exit (Figure 9): releases a `held` section entered with `v`
+    /// and returns `true`, or returns `false` for a speculative section
+    /// that does not hold the lock, which must re-execute.
+    fn slow_read_exit(self, tid: ThreadId, v: u64, held: bool) -> bool;
+
+    /// The retry-exhausted fallback acquisition; returns the held
+    /// section's `v`.
+    fn fallback_acquire(self, tid: ThreadId) -> u64;
+
+    /// Acquisition for a section that runs unelided or that the
+    /// adaptive policy `forfeited`; returns its `v`.
+    fn acquire_unelided(self, tid: ThreadId, forfeited: bool) -> u64;
+
+    /// Release of an [`acquire_unelided`](Self::acquire_unelided)
+    /// section.
+    fn release_unelided(self, tid: ThreadId, v: u64);
+
+    /// Figure 17, line 8: takes the lock iff the word is still `v`.
+    /// `true` means the section now holds the lock.
+    fn try_upgrade(self, v: u64, tid: ThreadId) -> bool;
+
+    /// The lock's configuration.
+    #[inline]
+    fn config(self) -> &'a SoleroConfig {
+        self.space().config()
+    }
+
+    /// The lock's statistics.
+    #[inline]
+    fn stats(self) -> &'a LockStats {
+        self.space().stats()
+    }
+
+    /// Classifies one aborted speculative read attempt: the stats
+    /// taxonomy (Figure 15), the adaptive policy and the trace event.
+    /// Every abort goes through here exactly once.
+    #[cold]
+    fn note_abort(self, reason: AbortReason) {
+        let stats = self.stats();
+        stats.note_abort(reason);
+        if let Some(p) = self.policy() {
+            if p.on_abort(reason) {
+                stats.policy_disables.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Abort(reason)));
+    }
+
+    /// Books one successful elision: the counter, plus the adaptive
+    /// policy's success streak.
+    #[inline(always)]
+    fn note_elided(self) {
+        self.stats().elision_success.fetch_add(1, Ordering::Relaxed);
+        if let Some(p) = self.policy() {
+            p.on_elided();
+        }
+    }
+
     /// Runs `f` as a read-only critical section: an inlined fast path
     /// (the code shape the paper's JIT emits at every read-only
     /// synchronized block) backed by the out-of-line retry/fallback
     /// driver.
     #[inline]
-    pub(crate) fn read_section<R>(
+    fn read_section<R>(
         self,
-        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
+        mut f: impl FnMut(&mut ReadSession<'a, Self>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let stats = self.stats();
         let config = self.config();
@@ -147,7 +240,7 @@ impl<'a> CompactRef<'a> {
         // speculating. No speculation starts, so this is NOT an abort —
         // `read_aborts == abort_reason_sum()` must keep balancing — it
         // is counted separately as a policy skip.
-        if let Some(p) = self.policy {
+        if let Some(p) = self.policy() {
             if let EntryDecision::Acquire { rearmed } = p.on_entry() {
                 stats.policy_skips.fetch_add(1, Ordering::Relaxed);
                 if rearmed {
@@ -157,14 +250,14 @@ impl<'a> CompactRef<'a> {
             }
         }
         // Figure 7, lines 1–8, inlined.
-        let v = self.load(Ordering::Acquire);
-        if !v.is_elidable() {
+        let v = self.word().load(Ordering::Acquire);
+        if !Self::is_free(v) {
             // Busy at entry: slow entry, then the driver loop.
             return self.read_busy_entry(f);
         }
         solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
         config.barrier.read_entry_fence();
-        let mut s = ReadSession::new(self, v.raw(), false);
+        let mut s = ReadSession::new(self, v, false);
         let out = f(&mut s);
         if out.is_ok() && !s.held {
             config.barrier.read_exit_fence();
@@ -180,24 +273,19 @@ impl<'a> CompactRef<'a> {
         }
     }
 
-    /// Unelided-SOLERO: execute the read section as a writing critical
-    /// section (the Figure 10 ablation). A section the adaptive policy
-    /// `forfeited` runs the same way but acquires through
-    /// [`acquire_forfeited`](Self::acquire_forfeited).
+    /// Unelided execution: the read section runs under the acquired
+    /// lock (the Figure 10 ablation). A section the adaptive policy
+    /// `forfeited` runs the same way.
     #[cold]
     fn read_unelided<R>(
         self,
         forfeited: bool,
-        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
+        mut f: impl FnMut(&mut ReadSession<'a, Self>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let tid = ThreadId::current();
-        if forfeited {
-            self.acquire_forfeited(tid);
-        } else {
-            self.acquire(tid);
-        }
-        let r = f(&mut ReadSession::new(self, 0, true));
-        self.release(tid);
+        let v = self.acquire_unelided(tid, forfeited);
+        let r = f(&mut ReadSession::new(self, v, true));
+        self.release_unelided(tid, v);
         r
     }
 
@@ -205,23 +293,48 @@ impl<'a> CompactRef<'a> {
     #[cold]
     fn read_busy_entry<R>(
         self,
-        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
+        mut f: impl FnMut(&mut ReadSession<'a, Self>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let (v, held) = self.slow_read_enter(ThreadId::current());
-        match self.attempt(&mut f, v, held) {
+        let tid = ThreadId::current();
+        let entry = self.busy_entry(tid);
+        match self.attempt(&mut f, entry, tid) {
             Settled::Done(res) => res,
             Settled::Retry(failures) => self.read_resume(f, failures),
         }
     }
 
-    /// One execution attempt from a captured word `v` (speculative) or
-    /// under the held lock, settled.
+    /// The slow entry, booking a wait that ended on a free word: the
+    /// word was busy at entry, so speculation had to wait for it to
+    /// free up before (re)starting.
+    fn busy_entry(self, tid: ThreadId) -> Option<(u64, bool)> {
+        let entry = self.slow_read_enter(tid);
+        if let Some((_, false)) = entry {
+            self.note_abort(AbortReason::LockedAtEntry);
+        }
+        entry
+    }
+
+    /// One execution attempt, settled: speculative from a captured word
+    /// or under the held lock, as `entry` says — or, for `None`, under
+    /// the retry-exhausted fallback (starvation freedom).
     fn attempt<R>(
         self,
-        f: &mut impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
-        v: u64,
-        held: bool,
+        f: &mut impl FnMut(&mut ReadSession<'a, Self>) -> Result<R, Fault>,
+        entry: Option<(u64, bool)>,
+        tid: ThreadId,
     ) -> Settled<R> {
+        let (v, held) = match entry {
+            Some(entry) => entry,
+            None => {
+                self.stats()
+                    .fallback_acquires
+                    .fetch_add(1, Ordering::Relaxed);
+                self.note_abort(AbortReason::RetryExhaustedFallback);
+                let v = self.fallback_acquire(tid);
+                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::FallbackAcquire));
+                (v, true)
+            }
+        };
         if !held {
             solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
             self.config().barrier.read_entry_fence();
@@ -237,18 +350,18 @@ impl<'a> CompactRef<'a> {
     /// published is visible before we vouch for the result.
     ///
     /// Under `--cfg solero_mc` this is also the mutation point the
-    /// model checker must kill (see `crate::mutation`).
+    /// model checker must kill (see `crate::mutation`), for every word.
     #[inline]
     fn exit_validates(self, v: u64) -> bool {
         #[cfg(solero_mc)]
         match crate::mutation::active() {
             crate::mutation::SKIP_EXIT_REREAD => return true,
             crate::mutation::WEAK_EXIT_LOAD => {
-                return v == self.word.load(Ordering::Relaxed);
+                return v == self.word().load(Ordering::Relaxed);
             }
             _ => {}
         }
-        v == self.word.load(Ordering::Acquire)
+        v == self.word().load(Ordering::Acquire)
     }
 
     /// Post-processing of one execution attempt: exit validation
@@ -258,7 +371,7 @@ impl<'a> CompactRef<'a> {
         if held {
             // Faults under a held lock are genuine: release and
             // propagate (§3.3 — the conventional path).
-            let released = self.slow_read_exit(ThreadId::current());
+            let released = self.slow_read_exit(ThreadId::current(), v, true);
             debug_assert!(released, "held section must release");
             return Settled::Done(out);
         }
@@ -273,7 +386,7 @@ impl<'a> CompactRef<'a> {
                 }
                 // Figure 7, line 9: the lock may be held by us through a
                 // path the fast check misses.
-                if self.slow_read_exit(ThreadId::current()) {
+                if self.slow_read_exit(ThreadId::current(), v, false) {
                     return Settled::Done(Ok(r));
                 }
                 stats.elision_failure.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +396,7 @@ impl<'a> CompactRef<'a> {
             Err(Fault::UpgradeFailed) => {
                 // Figure 17, line 13: go straight to fallback. The
                 // abort is counted once, by the fallback branch of
-                // read_resume (RetryExhaustedFallback) — counting
+                // `attempt` (RetryExhaustedFallback) — counting
                 // WordChangedAtExit here too would double-book the
                 // same abort and break
                 // `read_aborts == abort_reason_sum()`.
@@ -293,7 +406,7 @@ impl<'a> CompactRef<'a> {
             Err(fault) => {
                 // Catch-block validation (§3.3): unchanged word means
                 // the reads were consistent — the fault is genuine.
-                if !fault.is_artifact_only() && v == self.word.load(Ordering::Acquire) {
+                if !fault.is_artifact_only() && v == self.word().load(Ordering::Acquire) {
                     return Settled::Done(Err(fault));
                 }
                 stats.speculative_faults.fetch_add(1, Ordering::Relaxed);
@@ -315,46 +428,70 @@ impl<'a> CompactRef<'a> {
     #[cold]
     fn read_resume<R>(
         self,
-        mut f: impl FnMut(&mut ReadSession<'a>) -> Result<R, Fault>,
+        mut f: impl FnMut(&mut ReadSession<'a, Self>) -> Result<R, Fault>,
         mut failures: u32,
     ) -> Result<R, Fault> {
         let tid = ThreadId::current();
         loop {
-            let (v, held) = if failures >= self.config().fallback_threshold {
-                self.stats()
-                    .fallback_acquires
-                    .fetch_add(1, Ordering::Relaxed);
-                self.note_abort(AbortReason::RetryExhaustedFallback);
-                self.slow_acquire(tid);
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::FallbackAcquire));
-                (0, true)
+            let entry = if failures >= self.config().fallback_threshold {
+                None
             } else {
-                let v = self.load(Ordering::Acquire);
-                if v.is_elidable() {
-                    (v.raw(), false)
+                let v = self.word().load(Ordering::Acquire);
+                if Self::is_free(v) {
+                    Some((v, false))
                 } else {
-                    self.slow_read_enter(tid)
+                    self.busy_entry(tid)
                 }
             };
-            match self.attempt(&mut f, v, held) {
+            match self.attempt(&mut f, entry, tid) {
                 Settled::Done(res) => return res,
                 Settled::Retry(add) => failures += add,
             }
         }
+    }
+}
+
+/// The SOLERO word: free when its low three bits are clear; recursion,
+/// spinning and the monitor on a busy entry; a held section carries no
+/// `v` (the counter rides inside the held word).
+impl<'a> LockWord<'a> for CompactRef<'a> {
+    #[inline]
+    fn space(self) -> &'a CompactSpace {
+        self.space
+    }
+
+    #[inline]
+    fn policy(self) -> Option<&'a AdaptivePolicy> {
+        self.policy
+    }
+
+    #[inline]
+    fn word(self) -> &'a AtomicU64 {
+        self.word
+    }
+
+    #[inline]
+    fn obs_id(self) -> u64 {
+        self.key.addr as u64
+    }
+
+    #[inline]
+    fn is_free(raw: u64) -> bool {
+        CompactWord(raw).is_elidable()
     }
 
     /// Slow entry for read-only sections — Figure 8.
     ///
     /// Recursion increments the recursion bits; a busy flat lock is
     /// spun on; inflation (or persistent contention) acquires the fat
-    /// lock. Returns `(v, held)`; a held entry's `v` is never validated.
+    /// lock. A held entry's `v` is never validated.
     #[cold]
-    fn slow_read_enter(self, tid: ThreadId) -> (u64, bool) {
+    fn slow_read_enter(self, tid: ThreadId) -> Option<(u64, bool)> {
         // Figure 8, lines 2–5: test_recursion.
         let v = self.load(Ordering::Acquire);
         if v.tid() == Some(tid) {
             self.recurse(tid, v);
-            return (0, true);
+            return Some((0, true));
         }
         self.stats()
             .read_slow_enters
@@ -372,12 +509,7 @@ impl<'a> CompactRef<'a> {
             }
         });
         match spun {
-            Some(Some(v)) => {
-                // The word was busy at entry; speculation had to wait for
-                // it to free up before (re)starting.
-                self.note_abort(AbortReason::LockedAtEntry);
-                (v, false)
-            }
+            Some(Some(v)) => Some((v, false)),
             // Figure 8, INFLATION: acquire the fat lock via the monitor.
             Some(None) | None => {
                 self.note_abort(AbortReason::Inflation);
@@ -386,20 +518,18 @@ impl<'a> CompactRef<'a> {
                 // went free in between, inflates it, which is the
                 // contender-finds-free behaviour the protocol wants.
                 while !self.enter_via_monitor(tid) {}
-                (0, true)
+                Some((0, true))
             }
         }
     }
 
-    /// Slow exit for read-only sections — Figure 9. Returns `true` if
-    /// `tid` held the lock and has now released one level of it
-    /// (recursion popped, flat lock released, or fat lock released);
-    /// `false` if it did not hold it — a speculative section whose
-    /// validation failed, which must re-execute. A fat read release
-    /// does not bump the displaced counter; only a writing release does
-    /// (see `slow_release`).
+    /// Slow exit for read-only sections — Figure 9. Releases one level
+    /// if `tid` holds the lock (recursion popped, flat lock released, or
+    /// fat lock released); the word itself says whether it does. A fat
+    /// read release does not bump the displaced counter; only a writing
+    /// release does (see `slow_release`).
     #[cold]
-    fn slow_read_exit(self, tid: ThreadId) -> bool {
+    fn slow_read_exit(self, tid: ThreadId, _v: u64, _held: bool) -> bool {
         let w = self.load(Ordering::Acquire);
         if w.tid() == Some(tid) {
             self.release_flat(tid, w);
@@ -414,6 +544,33 @@ impl<'a> CompactRef<'a> {
         }
         // Figure 9, line 13: the lock value changed — re-execute.
         false
+    }
+
+    fn fallback_acquire(self, tid: ThreadId) -> u64 {
+        self.slow_acquire(tid);
+        0
+    }
+
+    /// Unelided-SOLERO acquires as a writer; a forfeited section goes
+    /// through [`acquire_forfeited`](CompactRef::acquire_forfeited).
+    fn acquire_unelided(self, tid: ThreadId, forfeited: bool) -> u64 {
+        if forfeited {
+            self.acquire_forfeited(tid);
+        } else {
+            self.acquire(tid);
+        }
+        0
+    }
+
+    fn release_unelided(self, tid: ThreadId, _v: u64) {
+        self.release(tid);
+    }
+
+    /// `CAS(&obj->lock, v, thread_id + LOCK_BIT) || hold_lock(obj)`. The
+    /// second half is defensive: a held lock normally enters through
+    /// the recursion path and never reaches here.
+    fn try_upgrade(self, v: u64, tid: ThreadId) -> bool {
+        self.try_acquire(CompactWord(v), tid) || self.holds(tid)
     }
 }
 

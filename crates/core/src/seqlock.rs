@@ -3,57 +3,58 @@
 //! The SOLERO protocol validates reads of *heap* data against the lock
 //! word; for tiny fixed-size payloads the pointer-chase through
 //! `solero-heap` handles dominates the section. [`SeqLock`] keeps the
-//! payload **inline, beside the sequence word, inside one cache line**:
-//! a read is a handful of same-line loads bracketed by the §3.4
-//! barriers, with no indirection at all.
+//! payload **inline, right after the sequence word**: the word starts a
+//! cache line and payloads up to 56 bytes share it, so a read is a
+//! handful of same-line loads bracketed by the §3.4 barriers, with no
+//! indirection at all. Configuration and statistics sit past the
+//! payload, so a reader's counter updates never touch the word's line.
 //!
 //! The protocol is the classic Linux-style seqlock (SNIPPETS.md
-//! snippet 2) expressed in the SOLERO abort taxonomy:
+//! snippet 2) run on the crate's one read driver (`read.rs`, shared with
+//! [`SoleroLock`](crate::SoleroLock)), so it has the same abort
+//! taxonomy, fallback, check-points, read-mostly upgrade and adaptive
+//! policy. Only the word differs:
 //!
-//! * the sequence word is even when free, odd while a writer is
-//!   installing — an odd word at entry is `locked_at_entry`;
-//! * a reader captures the even word, speculatively loads the payload
-//!   words, then re-validates the word after the
-//!   [`read_exit_fence`](solero_runtime::fence::BarrierMode) — a
-//!   changed word is `word_changed_at_exit`;
-//! * after `fallback_threshold` failed attempts the reader acquires
-//!   the writer side (`retry_exhausted_fallback`), so readers cannot
-//!   starve under a write storm;
-//! * writers contend on the even→odd CAS under the history-keyed
+//! * the sequence word is even when free, odd while held — an odd word
+//!   at entry is `locked_at_entry` once it frees up within the spin
+//!   tiers, and a retry-exhausted fallback when it does not;
+//! * there is no owner, recursion or monitor: a held section is a CAS of
+//!   the even word to odd, contending under the history-keyed
 //!   [`ContentionConfig`](solero_runtime::contention::ContentionConfig)
-//!   back-off, bump the payload, and release with `+2`.
-//!
-//! A *fallback read* restores the same even word it displaced instead
-//! of bumping it — it wrote nothing, so concurrent speculative readers
-//! spanning the fallback may still validate. (Fallback *sections* run
-//! arbitrary closures that may upgrade and write, so they release with
-//! the conservative `+2`.)
+//!   back-off, and the displaced even word rides in the section;
+//! * writers, and closure sections that hold the word (they may have
+//!   upgraded and written), release with `+2`. A *typed* read that held
+//!   the word — a fallback, an unelided read, a policy skip — wrote
+//!   nothing and **restores the displaced even word** instead, so
+//!   concurrent speculative readers spanning it may still validate.
 //!
 //! The payload lives in `solero_sync` atomics, so under
 //! `--cfg solero_mc` every payload word load/store is a scheduling
 //! point with store-buffer/stale-value semantics — the
 //! writer-bump/reader-validate handshake is model-checked in
 //! `crates/mc/tests/seqlock_mc.rs` under DFS, DPOR, and TSO, and the
-//! Relaxed-demoted exit load (`WEAK_EXIT_LOAD`) dies there with a
-//! deterministic replay.
+//! driver's exit-validation mutation points die on this word too
+//! (`crates/mc/tests/seqlock_kill.rs`).
 
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of};
 
 use solero_sync::atomic::{AtomicU64, Ordering};
 
-use solero_obs::{AbortReason, EventKind, LockEvent, RecentAborts, SectionKind};
+use solero_obs::{EventKind, LockEvent, SectionKind};
 use solero_runtime::fault::Fault;
 use solero_runtime::spin::Probe;
 use solero_runtime::stats::{LockStats, StatsSnapshot};
+use solero_runtime::thread::ThreadId;
 
-use crate::adaptive::{AdaptivePolicy, EntryDecision};
-use crate::config::{ElisionMode, SoleroConfig};
-use crate::session::{Checkpoint, WriteIntent};
+use crate::adaptive::AdaptivePolicy;
+use crate::compact::CompactSpace;
+use crate::config::SoleroConfig;
+use crate::read::LockWord;
+use crate::session::WriteIntent;
 use crate::strategy::SyncStrategy;
 
-/// Inline payload capacity in 64-bit words (64 bytes — one cache line
-/// of payload beside the sequence word).
+/// Inline payload capacity in 64-bit words (64 bytes).
 pub const SEQ_INLINE_WORDS: usize = 8;
 
 /// Marker for payloads that may live in the inline word array.
@@ -90,9 +91,8 @@ unsafe impl SeqData for f64 {}
 unsafe impl SeqData for () {}
 unsafe impl<T: SeqData, const N: usize> SeqData for [T; N] {}
 
-/// A sequence lock with **inline data**: the payload shares the
-/// structure (and for payloads up to 56 bytes, the cache line) with
-/// the sequence word.
+/// A sequence lock with **inline data**: the payload follows the
+/// sequence word (for payloads up to 56 bytes, in the same cache line).
 ///
 /// # Examples
 ///
@@ -106,14 +106,14 @@ unsafe impl<T: SeqData, const N: usize> SeqData for [T; N] {}
 /// assert_eq!(l.stats().snapshot().elision_success, 2);
 /// ```
 #[derive(Debug)]
+#[repr(C, align(64))]
 pub struct SeqLock<T: SeqData> {
-    /// Even = free (version), odd = writer installing.
+    /// Even = free (version), odd = held.
     seq: AtomicU64,
     /// The inline payload words; only `Self::WORDS` are used.
     data: [AtomicU64; SEQ_INLINE_WORDS],
-    config: SoleroConfig,
-    stats: LockStats,
-    recent: RecentAborts,
+    /// Configuration and statistics: a space of one lock.
+    space: CompactSpace,
     policy: Option<AdaptivePolicy>,
     _payload: PhantomData<fn(T) -> T>,
 }
@@ -147,9 +147,7 @@ impl<T: SeqData> SeqLock<T> {
         let lock = SeqLock {
             seq: AtomicU64::new(0),
             data: std::array::from_fn(|_| AtomicU64::new(0)),
-            config,
-            stats: LockStats::default(),
-            recent: RecentAborts::new(),
+            space: CompactSpace::with_config(config),
             policy: config.adaptive.map(AdaptivePolicy::new),
             _payload: PhantomData,
         };
@@ -157,20 +155,28 @@ impl<T: SeqData> SeqLock<T> {
         lock
     }
 
+    /// The read driver's handle on this lock's word. `restore` picks
+    /// how a held section releases: typed reads restore the displaced
+    /// word, closure sections bump it.
+    #[inline]
+    fn handle(&self, restore: bool) -> SeqRef<'_> {
+        SeqRef {
+            word: &self.seq,
+            space: &self.space,
+            policy: self.policy.as_ref(),
+            restore,
+        }
+    }
+
     /// The lock's configuration.
     pub fn config(&self) -> &SoleroConfig {
-        &self.config
+        self.space.config()
     }
 
     /// Per-lock statistics counters (shared taxonomy with
     /// [`SoleroLock`](crate::SoleroLock)).
     pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    /// Per-class recent-abort history.
-    pub fn recent_aborts(&self) -> &RecentAborts {
-        &self.recent
+        self.space.stats()
     }
 
     /// The adaptive elision policy, if configured.
@@ -179,15 +185,9 @@ impl<T: SeqData> SeqLock<T> {
     }
 
     /// The current raw sequence word (diagnostics and tests): even =
-    /// free, odd = writer installing.
+    /// free, odd = held.
     pub fn raw_seq(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
-    }
-
-    /// Stable lock identity for observability events.
-    #[inline]
-    fn obs_id(&self) -> u64 {
-        &self.seq as *const _ as usize as u64
     }
 
     // ---- payload word marshalling -------------------------------------
@@ -232,129 +232,27 @@ impl<T: SeqData> SeqLock<T> {
         }
     }
 
-    // ---- abort taxonomy (mirrors SoleroLock) --------------------------
-
-    /// Classifies one aborted speculative attempt, exactly once, so
-    /// `read_aborts == abort_reason_sum()` holds here as it does for
-    /// [`SoleroLock`](crate::SoleroLock).
-    #[cold]
-    fn note_abort(&self, reason: AbortReason) {
-        self.stats.note_abort(reason);
-        self.recent.note(reason);
-        if let Some(p) = &self.policy {
-            if p.on_abort(reason) {
-                self.stats.policy_disables.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Abort(reason)));
-    }
-
-    #[inline]
-    fn note_elided(&self) {
-        self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = &self.policy {
-            if p.on_elided() {
-                self.recent.decay();
-            }
-        }
-    }
-
-    /// The exit re-validation: the captured even word must still be
-    /// current, loaded `Acquire` after the
-    /// [`read_exit_fence`](solero_runtime::fence::BarrierMode) — the
-    /// same §3.4 barrier argument as SOLERO's Figure 7 line 6.
-    ///
-    /// Under `--cfg solero_mc` this shares `SoleroLock`'s mutation
-    /// points: `SKIP_EXIT_REREAD` and the Relaxed-demoted
-    /// `WEAK_EXIT_LOAD`, both of which the checker must kill.
-    #[inline]
-    fn exit_validates(&self, v1: u64) -> bool {
-        #[cfg(solero_mc)]
-        match crate::mutation::active() {
-            crate::mutation::SKIP_EXIT_REREAD => return true,
-            crate::mutation::WEAK_EXIT_LOAD => {
-                return v1 == self.seq.load(Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        v1 == self.seq.load(Ordering::Acquire)
-    }
-
     // ---- writer side --------------------------------------------------
 
-    /// Raw writer-side acquisition (no section counters): CAS the even
-    /// word odd, contending under the history-keyed back-off. Returns
-    /// the displaced even value.
-    fn writer_lock(&self) -> u64 {
-        let v = self.seq.load(Ordering::Relaxed);
-        if v & 1 == 0
-            && self
-                .seq
-                .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            return v;
-        }
-        self.writer_lock_slow()
-    }
-
-    #[cold]
-    fn writer_lock_slow(&self) -> u64 {
-        loop {
-            let got = self.config.contention.run_observed(
-                || {
-                    let v = self.seq.load(Ordering::Relaxed);
-                    if v & 1 == 0
-                        && self
-                            .seq
-                            .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Relaxed)
-                            .is_ok()
-                    {
-                        return Probe::Done(v);
-                    }
-                    Probe::Retry
-                },
-                |_| {
-                    self.stats
-                        .contention_backoffs
-                        .fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            if let Some(v) = got {
-                return v;
+    /// Counted writer entry for the write-section APIs. Returns the
+    /// displaced even word.
+    fn writer_acquire(&self) -> u64 {
+        let h = self.handle(false);
+        h.stats().write_enters.fetch_add(1, Ordering::Relaxed);
+        let v = match h.try_lock() {
+            Some(v) => {
+                h.stats().write_fast.fetch_add(1, Ordering::Relaxed);
+                v
             }
-            // Attempts exhausted. The inline lock has no monitor tier
-            // to inflate to; yield and re-enter the managed probes (the
-            // per-thread history keeps the renewed cadence polite).
-            #[cfg(not(solero_mc))]
-            std::thread::yield_now();
-        }
+            None => h.lock_slow(),
+        };
+        solero_obs::emit(|| LockEvent::now(h.obs_id(), EventKind::WriteAcquire));
+        v
     }
 
     /// Writing release: publish the payload and the next even word.
     fn writer_release(&self, displaced: u64) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteRelease));
-        self.seq
-            .store(displaced.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Counted writer entry for the write-section APIs.
-    fn writer_acquire(&self) -> u64 {
-        self.stats.write_enters.fetch_add(1, Ordering::Relaxed);
-        let v = self.seq.load(Ordering::Relaxed);
-        if v & 1 == 0
-            && self
-                .seq
-                .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.stats.write_fast.fetch_add(1, Ordering::Relaxed);
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
-            return v;
-        }
-        let v = self.writer_lock_slow();
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
-        v
+        self.handle(false).unlock(displaced);
     }
 
     // ---- typed inline fast paths --------------------------------------
@@ -363,38 +261,13 @@ impl<T: SeqData> SeqLock<T> {
     /// word, load the payload words, re-validate; retry and fall back
     /// per the SOLERO taxonomy.
     pub fn read_inline(&self) -> T {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
-        if self.config.elision == ElisionMode::NoElide {
-            return self.read_locked();
-        }
-        if let Some(p) = &self.policy {
-            if let EntryDecision::Acquire { rearmed } = p.on_entry() {
-                self.stats.policy_skips.fetch_add(1, Ordering::Relaxed);
-                if rearmed {
-                    self.stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
-                }
-                return self.read_locked();
-            }
-        }
-        let threshold = self.config.fallback_threshold.max(1);
-        let mut failures = 0u32;
-        while failures < threshold {
-            let Some(v1) = self.speculative_entry() else {
-                break;
-            };
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-            self.config.barrier.read_entry_fence();
-            let buf = self.load_words();
-            self.config.barrier.read_exit_fence();
-            if self.exit_validates(v1) {
-                self.note_elided();
-                return Self::decode(&buf);
-            }
-            self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-            self.note_abort(AbortReason::WordChangedAtExit);
-            failures += 1;
-        }
-        self.fallback_read()
+        let mut value = None;
+        let read = self.handle(true).read_section(|_| {
+            value = Some(Self::decode(&self.load_words()));
+            Ok(())
+        });
+        debug_assert!(read.is_ok(), "payload loads cannot fault");
+        value.expect("a read section runs its body")
     }
 
     /// Overwrites the payload as a writing critical section.
@@ -412,227 +285,151 @@ impl<T: SeqData> SeqLock<T> {
         self.store_words(cur);
         self.writer_release(v);
     }
+}
 
-    /// Entry for one speculative attempt: the current even word, or
-    /// `None` when the odd-word wait exhausted its spin tiers and the
-    /// caller must fall back.
-    fn speculative_entry(&self) -> Option<u64> {
-        let v = self.seq.load(Ordering::Acquire);
-        if v & 1 == 0 {
-            return Some(v);
+/// The read driver's handle on a [`SeqLock`]'s sequence word. A held
+/// section's `v` is the even word it displaced.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeqRef<'a> {
+    word: &'a AtomicU64,
+    space: &'a CompactSpace,
+    policy: Option<&'a AdaptivePolicy>,
+    /// True if a held section restores the displaced word on exit (a
+    /// typed read, which wrote nothing); false if it bumps it by 2 like
+    /// a writer (a closure section, which may have upgraded and
+    /// written).
+    restore: bool,
+}
+
+impl SeqRef<'_> {
+    /// One even→odd CAS attempt; the displaced even word on success.
+    #[inline]
+    fn try_lock(self) -> Option<u64> {
+        let v = self.word.load(Ordering::Relaxed);
+        (v & 1 == 0
+            && self
+                .word
+                .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok())
+        .then_some(v)
+    }
+
+    /// Uncounted acquisition: the held sections of the read driver.
+    fn lock(self) -> u64 {
+        self.try_lock().unwrap_or_else(|| self.lock_slow())
+    }
+
+    /// Contended acquisition under the history-keyed back-off.
+    #[cold]
+    fn lock_slow(self) -> u64 {
+        loop {
+            let got = self.config().contention.run_observed(
+                || match self.try_lock() {
+                    Some(v) => Probe::Done(v),
+                    None => Probe::Retry,
+                },
+                |_| {
+                    self.stats()
+                        .contention_backoffs
+                        .fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            if let Some(v) = got {
+                return v;
+            }
+            // Attempts exhausted. The inline lock has no monitor tier
+            // to inflate to; yield and re-enter the managed probes (the
+            // per-thread history keeps the renewed cadence polite).
+            #[cfg(not(solero_mc))]
+            std::thread::yield_now();
         }
-        // Writer installing: Figure 8-style bounded wait for an even
-        // word, then a LockedAtEntry abort books the stall.
-        self.stats.read_slow_enters.fetch_add(1, Ordering::Relaxed);
-        let spun = self.config.spin.run(|| {
-            let v = self.seq.load(Ordering::Acquire);
+    }
+
+    /// Writing release: the next even word.
+    fn unlock(self, displaced: u64) {
+        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteRelease));
+        self.word
+            .store(displaced.wrapping_add(2), Ordering::Release);
+    }
+
+    /// Releases a held read section that displaced `v`.
+    fn held_exit(self, v: u64) {
+        if self.restore {
+            self.word.store(v, Ordering::Release);
+        } else {
+            self.unlock(v);
+        }
+    }
+}
+
+impl<'a> LockWord<'a> for SeqRef<'a> {
+    #[inline]
+    fn space(self) -> &'a CompactSpace {
+        self.space
+    }
+
+    #[inline]
+    fn policy(self) -> Option<&'a AdaptivePolicy> {
+        self.policy
+    }
+
+    #[inline]
+    fn word(self) -> &'a AtomicU64 {
+        self.word
+    }
+
+    #[inline]
+    fn obs_id(self) -> u64 {
+        self.word as *const AtomicU64 as u64
+    }
+
+    #[inline]
+    fn is_free(raw: u64) -> bool {
+        raw & 1 == 0
+    }
+
+    /// Figure 8-style bounded wait for an even word; a wait that
+    /// exhausts the spin tiers falls back.
+    #[cold]
+    fn slow_read_enter(self, _tid: ThreadId) -> Option<(u64, bool)> {
+        self.stats()
+            .read_slow_enters
+            .fetch_add(1, Ordering::Relaxed);
+        let v = self.config().spin.run(|| {
+            let v = self.word.load(Ordering::Acquire);
             if v & 1 == 0 {
                 Probe::Done(v)
             } else {
                 Probe::Retry
             }
-        });
-        match spun {
-            Some(v) => {
-                self.note_abort(AbortReason::LockedAtEntry);
-                Some(v)
-            }
-            None => None,
-        }
+        })?;
+        Some((v, false))
     }
 
-    /// Retry-exhausted fallback for the typed read path: acquire the
-    /// writer side, read directly, and **restore the displaced even
-    /// word** — nothing was written, so concurrent speculative readers
-    /// spanning this hold may still validate.
-    #[cold]
-    fn fallback_read(&self) -> T {
-        self.stats.fallback_acquires.fetch_add(1, Ordering::Relaxed);
-        self.note_abort(AbortReason::RetryExhaustedFallback);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::FallbackAcquire));
-        self.read_locked()
+    /// No owner to consult: only a held section releases.
+    fn slow_read_exit(self, _tid: ThreadId, v: u64, held: bool) -> bool {
+        if held {
+            self.held_exit(v);
+        }
+        held
     }
 
-    /// Non-speculative typed read (unelided mode, policy skips, and the
-    /// tail of [`SeqLock::fallback_read`]).
-    #[cold]
-    fn read_locked(&self) -> T {
-        let v = self.writer_lock();
-        let buf = self.load_words();
-        // Restore, not bump: this reader displaced the word but wrote
-        // no payload.
-        self.seq.store(v, Ordering::Release);
-        Self::decode(&buf)
+    fn fallback_acquire(self, _tid: ThreadId) -> u64 {
+        self.lock()
     }
 
-    // ---- closure sections (the strategy surface) ----------------------
-
-    /// Runs `f` as an elided read/read-mostly section over ambient
-    /// data, validated against this lock's sequence word — the closure
-    /// analogue of [`SeqLock::read_inline`], with in-place upgrade via
-    /// [`WriteIntent::ensure_write`].
-    fn run_section<R>(
-        &self,
-        mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
-    ) -> Result<R, Fault> {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
-        if self.config.elision == ElisionMode::NoElide {
-            return self.locked_section(&mut f);
-        }
-        if let Some(p) = &self.policy {
-            if let EntryDecision::Acquire { rearmed } = p.on_entry() {
-                self.stats.policy_skips.fetch_add(1, Ordering::Relaxed);
-                if rearmed {
-                    self.stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
-                }
-                return self.locked_section(&mut f);
-            }
-        }
-        let threshold = self.config.fallback_threshold.max(1);
-        let mut failures = 0u32;
-        while failures < threshold {
-            let Some(v1) = self.speculative_entry() else {
-                break;
-            };
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
-            self.config.barrier.read_entry_fence();
-            let mut session = SeqSession {
-                lock: self,
-                v: v1,
-                held: false,
-                polls: 0,
-            };
-            let out = f(&mut session);
-            if session.held {
-                // Upgraded mid-section: it held the writer side and may
-                // have written — release like a writer. Faults under
-                // the held lock are genuine and propagate.
-                self.writer_release(v1);
-                return out;
-            }
-            match out {
-                Ok(r) => {
-                    self.config.barrier.read_exit_fence();
-                    if self.exit_validates(v1) {
-                        self.note_elided();
-                        return Ok(r);
-                    }
-                    self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                    self.note_abort(AbortReason::WordChangedAtExit);
-                    failures += 1;
-                }
-                Err(Fault::UpgradeFailed) => {
-                    // Figure 17, line 13: straight to fallback; the
-                    // abort is booked once, as RetryExhaustedFallback.
-                    self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(fault) => {
-                    // Catch-block triage (§3.3): an unchanged word means
-                    // the reads were consistent — the fault is genuine.
-                    if !fault.is_artifact_only() && v1 == self.seq.load(Ordering::Acquire) {
-                        return Err(fault);
-                    }
-                    self.stats
-                        .speculative_faults
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.stats.elision_failure.fetch_add(1, Ordering::Relaxed);
-                    self.note_abort(if fault == Fault::Inconsistent {
-                        AbortReason::AsyncRevalidationFail
-                    } else {
-                        AbortReason::WordChangedAtExit
-                    });
-                    failures += 1;
-                }
-            }
-        }
-        self.stats.fallback_acquires.fetch_add(1, Ordering::Relaxed);
-        self.note_abort(AbortReason::RetryExhaustedFallback);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::FallbackAcquire));
-        self.locked_section(&mut f)
+    fn acquire_unelided(self, _tid: ThreadId, _forfeited: bool) -> u64 {
+        self.lock()
     }
 
-    /// Runs `f` holding the writer side (fallback, unelided mode, and
-    /// policy skips). The closure may have written after
-    /// `ensure_write`, so the release bumps conservatively.
-    #[cold]
-    fn locked_section<R>(
-        &self,
-        f: &mut impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
-    ) -> Result<R, Fault> {
-        let v = self.writer_lock();
-        let mut session = SeqSession {
-            lock: self,
-            v,
-            held: true,
-            polls: 0,
-        };
-        let out = f(&mut session);
-        self.writer_release(v);
-        out
-    }
-}
-
-/// The session handed to [`SeqStrategy`] section closures: a
-/// [`Checkpoint`] validating against the sequence word plus the
-/// in-place writer upgrade.
-#[derive(Debug)]
-struct SeqSession<'a, T: SeqData> {
-    lock: &'a SeqLock<T>,
-    /// The even word captured at entry (still the displaced value after
-    /// an upgrade).
-    v: u64,
-    held: bool,
-    polls: u64,
-}
-
-impl<T: SeqData> Checkpoint for SeqSession<'_, T> {
-    fn checkpoint(&mut self) -> Result<(), Fault> {
-        if self.held || self.lock.config.checkpoint_period == 0 {
-            return Ok(());
-        }
-        self.polls += 1;
-        if self.polls % self.lock.config.checkpoint_period != 0 {
-            return Ok(());
-        }
-        self.lock
-            .stats
-            .async_validations
-            .fetch_add(1, Ordering::Relaxed);
-        if self.v == self.lock.seq.load(Ordering::Acquire) {
-            Ok(())
-        } else {
-            Err(Fault::Inconsistent)
-        }
+    fn release_unelided(self, _tid: ThreadId, v: u64) {
+        self.held_exit(v);
     }
 
-    fn is_speculative(&self) -> bool {
-        !self.held
-    }
-}
-
-impl<T: SeqData> WriteIntent for SeqSession<'_, T> {
-    fn ensure_write(&mut self) -> Result<(), Fault> {
-        if self.held {
-            return Ok(());
-        }
-        // Figure 17 in miniature: upgrade in place iff the word is
-        // still the captured even value.
-        if self
-            .lock
-            .seq
-            .compare_exchange(self.v, self.v + 1, Ordering::AcqRel, Ordering::Relaxed)
+    fn try_upgrade(self, v: u64, _tid: ThreadId) -> bool {
+        self.word
+            .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
-        {
-            self.held = true;
-            self.lock
-                .stats
-                .mostly_upgrades
-                .fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        } else {
-            Err(Fault::UpgradeFailed)
-        }
     }
 }
 
@@ -732,20 +529,20 @@ impl<T: SeqData> SyncStrategy for SeqStrategy<T> {
 
     fn read_section<R>(
         &self,
-        f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
+        mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let t = solero_obs::section_start();
-        let r = self.lock.run_section(f);
+        let r = self.lock.handle(false).read_section(|s| f(s));
         solero_obs::section_end(t, self.label, SectionKind::Read);
         r
     }
 
     fn mostly_section<R>(
         &self,
-        f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
+        mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let t = solero_obs::section_start();
-        let r = self.lock.run_section(f);
+        let r = self.lock.handle(false).read_section(|s| f(s));
         solero_obs::section_end(t, self.label, SectionKind::Mostly);
         r
     }
@@ -762,8 +559,31 @@ impl<T: SeqData> SyncStrategy for SeqStrategy<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Checkpoint;
+    use std::mem::offset_of;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
     use std::sync::Arc;
+
+    #[test]
+    fn word_line_holds_the_payload_and_no_counters() {
+        type L = SeqLock<u64>;
+        let word = offset_of!(L, seq);
+        assert_eq!(align_of::<L>() % 64, 0, "the lock starts a cache line");
+        assert_eq!(word % 64, 0, "the word starts a cache line");
+        assert_eq!(
+            offset_of!(L, data),
+            word + size_of::<AtomicU64>(),
+            "the payload follows the word"
+        );
+        let l = L::new(0);
+        let stats = l.stats() as *const LockStats as usize - &l as *const L as usize;
+        let line = word..word + 64;
+        assert!(
+            stats >= line.end || stats + size_of::<LockStats>() <= line.start,
+            "LockStats at {stats}..{} shares the word's line {line:?}",
+            stats + size_of::<LockStats>()
+        );
+    }
 
     #[test]
     fn inline_round_trip_and_word_sizes() {
@@ -894,7 +714,7 @@ mod tests {
     fn genuine_fault_propagates_once() {
         let l = SeqLock::new(0u64);
         let mut runs = 0;
-        let r: Result<(), Fault> = l.run_section(|_| {
+        let r: Result<(), Fault> = l.handle(false).read_section(|_| {
             runs += 1;
             Err(Fault::NullPointer)
         });
@@ -908,7 +728,8 @@ mod tests {
         let l2 = Arc::clone(&l);
         let mut attempt = 0;
         let r = l
-            .run_section(|s| {
+            .handle(false)
+            .read_section(|s| {
                 attempt += 1;
                 if attempt == 1 {
                     assert!(s.is_speculative());
@@ -944,7 +765,8 @@ mod tests {
         let l2 = Arc::clone(&l);
         let mut attempt = 0;
         let r = l
-            .run_section(|s| {
+            .handle(false)
+            .read_section(|s| {
                 attempt += 1;
                 if attempt == 1 {
                     std::thread::scope(|sc| {
@@ -985,19 +807,20 @@ mod tests {
         let l2 = Arc::clone(&l);
         let hits = StdAtomicU64::new(0);
         let mut attempt = 0;
-        l.run_section(|s| {
-            attempt += 1;
-            if attempt == 1 {
-                // Invalidate before the upgrade point.
-                std::thread::scope(|sc| {
-                    sc.spawn(|| l2.write_inline(1));
-                });
-            }
-            s.ensure_write()?;
-            hits.fetch_add(1, StdOrdering::Relaxed);
-            Ok::<_, Fault>(())
-        })
-        .unwrap();
+        l.handle(false)
+            .read_section(|s| {
+                attempt += 1;
+                if attempt == 1 {
+                    // Invalidate before the upgrade point.
+                    std::thread::scope(|sc| {
+                        sc.spawn(|| l2.write_inline(1));
+                    });
+                }
+                s.ensure_write()?;
+                hits.fetch_add(1, StdOrdering::Relaxed);
+                Ok::<_, Fault>(())
+            })
+            .unwrap();
         assert_eq!(attempt, 2, "failed upgrade re-executes under the lock");
         assert_eq!(hits.load(StdOrdering::Relaxed), 1, "write happens once");
         assert_eq!(l.raw_seq() & 1, 0);

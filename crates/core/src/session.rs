@@ -9,15 +9,17 @@
 //! lock variable* and implements those check-points; [`MostlySession`]
 //! adds the Figure 17 in-place upgrade for read-mostly sections.
 
+use std::marker::PhantomData;
+
 use solero_sync::atomic::Ordering;
 
 use solero_obs::{EventKind, LockEvent};
 use solero_runtime::events::EventPoll;
 use solero_runtime::fault::Fault;
 use solero_runtime::thread::ThreadId;
-use solero_runtime::word::CompactWord;
 
 use crate::compact::CompactRef;
+use crate::read::LockWord;
 
 /// Validation polling inside critical sections, independent of the lock
 /// implementation. Lock-based strategies use [`NullCheckpoint`] (always
@@ -72,30 +74,34 @@ impl Checkpoint for NullCheckpoint {
 /// Obtained through [`SoleroLock::read_only`](crate::SoleroLock::read_only);
 /// holds the local lock variable `v` captured at entry and whether the
 /// attempt runs speculatively or under the (recursively/fat/fallback-)
-/// held lock.
+/// held lock. The second parameter is the lock word the section runs
+/// on; every section a caller can name runs on the SOLERO word.
 #[derive(Debug)]
-pub struct ReadSession<'a> {
+pub struct ReadSession<'a, W = CompactRef<'a>> {
     /// The protocol handle of the lock the section runs under.
-    pub(crate) lock: CompactRef<'a>,
+    pub(crate) lock: W,
     /// The local lock variable (Figure 7's `v`).
     pub(crate) v: u64,
     /// True if this attempt holds the lock (recursion, fat mode, or
     /// fallback) — validation is then unnecessary.
     pub(crate) held: bool,
     pub(crate) poll: EventPoll,
+    pub(crate) _word: PhantomData<&'a ()>,
 }
 
-impl<'a> ReadSession<'a> {
-    pub(crate) fn new(lock: CompactRef<'a>, v: u64, held: bool) -> Self {
+impl<'a, W: LockWord<'a>> ReadSession<'a, W> {
+    pub(crate) fn new(lock: W, v: u64, held: bool) -> Self {
         ReadSession {
             lock,
             v,
             held,
             poll: EventPoll::new(lock.config().checkpoint_period),
+            _word: PhantomData,
         }
     }
 
-    /// The captured lock value (diagnostics; `0` under a held entry).
+    /// The captured lock value (diagnostics; `0` under a held entry on
+    /// the SOLERO word).
     pub fn local_lock_value(&self) -> u64 {
         self.v
     }
@@ -110,7 +116,7 @@ impl<'a> ReadSession<'a> {
         if self.held {
             return Ok(());
         }
-        if self.lock.word.load(Ordering::Acquire) == self.v {
+        if self.lock.word().load(Ordering::Acquire) == self.v {
             Ok(())
         } else {
             Err(Fault::Inconsistent)
@@ -129,28 +135,20 @@ impl<'a> ReadSession<'a> {
         if self.held {
             return Ok(());
         }
-        // CAS(&obj->lock, v, thread_id + LOCK_BIT) — Figure 17 line 8.
-        let tid = ThreadId::current();
-        if self.lock.try_acquire(CompactWord(self.v), tid) {
-            self.lock
-                .stats()
-                .mostly_upgrades
-                .fetch_add(1, Ordering::Relaxed);
-            solero_obs::emit(|| LockEvent::now(self.lock.obs_id(), EventKind::MostlyUpgrade));
-            self.held = true;
-            return Ok(());
+        if !self.lock.try_upgrade(self.v, ThreadId::current()) {
+            return Err(Fault::UpgradeFailed);
         }
-        // `|| hold_lock(obj)` — defensive; a held lock normally enters
-        // through the recursion path and never reaches here.
-        if self.lock.holds(tid) {
-            self.held = true;
-            return Ok(());
-        }
-        Err(Fault::UpgradeFailed)
+        self.lock
+            .stats()
+            .mostly_upgrades
+            .fetch_add(1, Ordering::Relaxed);
+        solero_obs::emit(|| LockEvent::now(self.lock.obs_id(), EventKind::MostlyUpgrade));
+        self.held = true;
+        Ok(())
     }
 }
 
-impl Checkpoint for ReadSession<'_> {
+impl<'a, W: LockWord<'a>> Checkpoint for ReadSession<'a, W> {
     #[inline]
     fn checkpoint(&mut self) -> Result<(), Fault> {
         if self.held {
@@ -172,7 +170,7 @@ impl Checkpoint for ReadSession<'_> {
     }
 }
 
-impl WriteIntent for ReadSession<'_> {
+impl<'a, W: LockWord<'a>> WriteIntent for ReadSession<'a, W> {
     #[inline]
     fn ensure_write(&mut self) -> Result<(), Fault> {
         ReadSession::ensure_write(self)

@@ -40,8 +40,7 @@ impl AbortReason {
     ];
 
     /// The reason's position in [`AbortReason::ALL`] — the canonical
-    /// dense index used by per-class counter arrays (see
-    /// [`crate::recent::RecentAborts`]).
+    /// dense index used by per-class counter arrays.
     pub fn index(self) -> usize {
         match self {
             AbortReason::LockedAtEntry => 0,
@@ -145,6 +144,13 @@ mod tests {
             for b in &AbortReason::ALL[i + 1..] {
                 assert_ne!(a.name(), b.name());
             }
+        }
+    }
+
+    #[test]
+    fn index_matches_all_order() {
+        for (i, reason) in AbortReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason.index(), i, "{}", reason.name());
         }
     }
 

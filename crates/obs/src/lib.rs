@@ -4,9 +4,6 @@
 //!
 //! - [`LockEvent`] / [`EventKind`] / [`AbortReason`] — the event model,
 //!   including the five-way abort taxonomy behind Figure 15.
-//! - [`RecentAborts`] — always-compiled per-lock recent-abort counters
-//!   (one relaxed `u32` per taxonomy class, geometric decay), the
-//!   substrate adaptive elision reads without the `trace` feature.
 //! - [`EventRing`] — bounded, cache-padded per-thread ring buffers.
 //! - [`LatencyHistogram`] / [`HistSnapshot`] — mergeable log2 latency
 //!   histograms for read-/write-section latencies per strategy.
@@ -30,7 +27,6 @@
 pub mod event;
 pub mod hist;
 pub mod json;
-pub mod recent;
 pub mod recorder;
 pub mod report;
 pub mod ring;
@@ -38,7 +34,6 @@ pub mod schema;
 
 pub use event::{now_ns, AbortReason, EventKind, LockEvent};
 pub use hist::{HistSnapshot, LatencyHistogram, BUCKETS};
-pub use recent::RecentAborts;
 pub use recorder::{
     emit, install, recorder, section_end, section_start, NullRecorder, ObsSnapshot, Recorder,
     SectionKind, SectionStats, SectionTimer, TraceRecorder,

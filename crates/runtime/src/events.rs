@@ -15,7 +15,7 @@
 //! runs without a ticker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -37,11 +37,12 @@ pub struct EventSource {
 
 impl EventSource {
     /// The process-global source.
+    #[inline]
     pub fn global() -> &'static EventSource {
-        static SRC: OnceLock<EventSource> = OnceLock::new();
-        SRC.get_or_init(|| EventSource {
+        static SRC: EventSource = EventSource {
             epoch: AtomicU64::new(0),
-        })
+        };
+        &SRC
     }
 
     /// Current epoch.
@@ -177,6 +178,7 @@ pub struct EventPoll {
 impl EventPoll {
     /// Creates a poller with the given deterministic period
     /// (`0` = events only).
+    #[inline]
     pub fn new(period: u64) -> Self {
         let batch = if period == 0 { 64 } else { period.min(64) as u32 };
         // The hot path counts this batch down; it must never be zero or

@@ -41,8 +41,11 @@ pub enum BarrierMode {
 /// On x86-64 this is the locked-RMW-to-the-stack idiom JIT compilers
 /// emit instead of `mfence` (HotSpot's `lock addl $0, 0(%rsp)`): it
 /// drains the store buffer like `mfence` but retires faster because the
-/// target line is always exclusive in L1. Elsewhere it is a `SeqCst`
-/// fence.
+/// target line is always exclusive in L1. It targets the word just
+/// below the stack pointer, as Linux's `smp_mb()` does, not the word
+/// at it: the compiler often spills a value there and reloads it right
+/// after the fence, and a reload of the word the locked add just wrote
+/// waits for that add. Elsewhere it is a `SeqCst` fence.
 ///
 /// Under `--cfg solero_mc` the asm block would be invisible to the
 /// cooperative scheduler (the §3.4 barrier the checker exists to test
@@ -52,12 +55,15 @@ pub enum BarrierMode {
 #[inline]
 pub fn storeload_fence() {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: atomically adds 0 to the word at [rsp] — a no-op write to
-    // our own stack; the `lock` prefix makes it a full barrier. The asm
-    // block is maximally conservative (clobbers memory and flags), so
-    // the compiler also treats it as a compiler fence.
+    // SAFETY: atomically adds 0 to the word at [rsp - 8] — a no-op
+    // write to our own stack's red zone. Without `options(nostack)` the
+    // compiler keeps nothing live there across the block, and adding 0
+    // leaves the word unchanged anyway. The `lock` prefix makes it a
+    // full barrier. The asm block is maximally conservative (clobbers
+    // memory and flags), so the compiler also treats it as a compiler
+    // fence.
     unsafe {
-        core::arch::asm!("lock add qword ptr [rsp], 0");
+        core::arch::asm!("lock add qword ptr [rsp - 8], 0");
     }
     #[cfg(not(target_arch = "x86_64"))]
     fence(Ordering::SeqCst);

@@ -34,7 +34,7 @@ pub fn fence(order: Ordering) {
 }
 
 /// Instrumented Store→Load barrier. The real implementation lives in
-/// `solero-runtime::fence` (x86 `lock add [rsp], 0`); model-checked
+/// `solero-runtime::fence` (x86 `lock add [rsp - 8], 0`); model-checked
 /// builds route here so the scheduler sees the barrier instead of an
 /// opaque asm block.
 pub fn storeload_fence() {

@@ -16,8 +16,11 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: offline release build =="
 cargo build --release --offline --workspace
 
+# `--no-fail-fast` runs every test binary even after one fails, so a
+# flaky test cannot hide the results of the binaries after it; the step
+# still fails if any test does.
 echo "== tier-1: offline test suite (default seeds) =="
-cargo test -q --offline --workspace
+cargo test -q --offline --workspace --no-fail-fast
 
 # The recursion-bound contracts in solero-runtime::word are real
 # assertions, not debug_asserts; running the suite on the release
@@ -131,12 +134,13 @@ SOLERO_MC_SEED=0x5EED5705 SOLERO_MC_BUDGET=20000 RUST_BACKTRACE=0 \
 # handshake drained three ways (exhaustive DFS, DPOR with two readers,
 # DPOR under TSO store buffers) plus both exit-validation mutation
 # kills (their own binary — the mutation switch is process-global),
-# with SOLERO_MC_BUDGET bounding each search. The cap sits above the
-# SC kill's discovery point (~10k executions) but below the
-# weak-memory one (~160k), so the SKIP_EXIT_REREAD kill is re-proven
-# here and the WEAK_EXIT_LOAD one prints its budget-capped skip; the
-# uncapped completeness run already happened in the main mc step
-# above.
+# with SOLERO_MC_BUDGET bounding each search. The seqlock reads run the
+# shared read driver, so these are its mutation points on the sequence
+# word. The cap sits above the SC kill's discovery point (9 967
+# executions) but below the weak-memory one (159 518), so the
+# SKIP_EXIT_REREAD kill is re-proven here and the WEAK_EXIT_LOAD one
+# prints its budget-capped skip; the uncapped completeness run already
+# happened in the main mc step above.
 echo "== tier-1: mc inline seqlock handshake + kills (budgeted) =="
 SOLERO_MC_SEED=0x5EED5E01 SOLERO_MC_BUDGET=20000 RUST_BACKTRACE=0 \
     RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
@@ -163,11 +167,13 @@ SOLERO_MC_SEED=0x5EEDC03A SOLERO_MC_BUDGET=20000 RUST_BACKTRACE=0 \
 
 # Replay the concurrency stress and property suites under a pinned seed
 # matrix: different roots exercise different schedules/cases, and every
-# one of them is reproducible by exporting the printed seed.
+# one of them is reproducible by exporting the printed seed. Like the
+# default-seed step, each replay runs every binary (`--no-fail-fast`)
+# and fails if any test fails.
 PINNED_SEEDS=(0x5EED0001 0xDECAFBAD 0x0DDBA11)
 for seed in "${PINNED_SEEDS[@]}"; do
     echo "== stress/property replay: SOLERO_TESTKIT_SEED=${seed} =="
-    SOLERO_TESTKIT_SEED="${seed}" cargo test -q --offline \
+    SOLERO_TESTKIT_SEED="${seed}" cargo test -q --offline --no-fail-fast \
         --test read_elision_stress \
         --test collections_contention_stress \
         --test fallback_starvation \
@@ -175,7 +181,7 @@ for seed in "${PINNED_SEEDS[@]}"; do
         --test bravo_reader_scaling \
         --test store_snapshot_stress \
         --test fallback_storm_stress
-    SOLERO_TESTKIT_SEED="${seed}" cargo test -q --offline \
+    SOLERO_TESTKIT_SEED="${seed}" cargo test -q --offline --no-fail-fast \
         -p solero \
         -p solero-runtime \
         -p solero-collections \

@@ -19,19 +19,29 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use solero::{Fault, SoleroConfig, SoleroStrategy, SyncStrategy, WriteIntent};
+use solero::{
+    BoxedStrategy, Fault, SeqStrategy, SoleroConfig, SoleroStrategy, SyncStrategy, WriteIntent,
+};
 use solero_runtime::stats::StatsSnapshot;
 use solero_testkit::{seed_matrix, seed_override, stress, StressConfig};
 
-/// The SOLERO variants the sweeps cover: the static lock and the
-/// adaptive contender. The taxonomy invariants are policy-independent —
-/// a policy skip is not an abort — so both must satisfy every one.
-fn solero_fleet() -> [(&'static str, SoleroStrategy); 2] {
+/// The elided variants the sweeps cover: both lock words the read
+/// driver runs on — the SOLERO word and the `SeqLock` sequence word —
+/// each static and adaptive. The taxonomy invariants are independent of
+/// the policy (a policy skip is not an abort) and of the word (both
+/// book through the one driver), so all four must satisfy every one.
+fn solero_fleet() -> [(&'static str, BoxedStrategy); 4] {
+    let adaptive = || SoleroConfig::builder().adaptive(true).build();
     [
-        ("SOLERO", SoleroStrategy::new()),
+        ("SOLERO", Box::new(SoleroStrategy::new())),
         (
             "Adaptive-SOLERO",
-            SoleroStrategy::configured(SoleroConfig::builder().adaptive(true).build()),
+            Box::new(SoleroStrategy::configured(adaptive())),
+        ),
+        ("SeqLock", Box::new(SeqStrategy::new(0u64))),
+        (
+            "Adaptive-SeqLock",
+            Box::new(SeqStrategy::configured(adaptive(), 0u64)),
         ),
     ]
 }
@@ -45,13 +55,13 @@ const CELLS: usize = 64;
 
 /// Writers hammer write sections over a small cell array while readers
 /// run speculative read sections with a mid-section checkpoint.
-fn hostile_run(name: &str, seed: u64, strat: &SoleroStrategy) -> StatsSnapshot {
+fn hostile_run(name: &str, seed: u64, strat: &BoxedStrategy) -> StatsSnapshot {
     let cells: Vec<AtomicU64> = (0..CELLS).map(|_| AtomicU64::new(0)).collect();
     stress(name, &StressConfig::new(THREADS, ROUNDS, seed), |w| {
         if w.id < WRITERS {
             for _ in 0..OPS {
                 let k = w.rng.gen_range(0..CELLS);
-                strat.write_section(|| {
+                strat.write_with(|| {
                     cells[k].fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -60,7 +70,7 @@ fn hostile_run(name: &str, seed: u64, strat: &SoleroStrategy) -> StatsSnapshot {
                 let a = w.rng.gen_range(0..CELLS);
                 let b = w.rng.gen_range(0..CELLS);
                 let _ = strat
-                    .read_section(|ck| {
+                    .read_with(|ck| {
                         let x = cells[a].load(Ordering::Relaxed);
                         ck.checkpoint()?;
                         let y = cells[b].load(Ordering::Relaxed);
@@ -75,14 +85,14 @@ fn hostile_run(name: &str, seed: u64, strat: &SoleroStrategy) -> StatsSnapshot {
 
 #[test]
 fn quiet_readers_never_abort() {
-    // Quiet implies zero aborts for every SOLERO variant — including
-    // the adaptive one, whose policy must stay entirely out of the way
+    // Quiet implies zero aborts for every variant — including the
+    // adaptive ones, whose policy must stay entirely out of the way
     // (no skips, no disables) when speculation never fails.
     for (name, strat) in solero_fleet() {
         let cell = AtomicU64::new(7);
         for _ in 0..10_000 {
             let v = strat
-                .read_section(|_| Ok(cell.load(Ordering::Relaxed)))
+                .read_with(|_| Ok(cell.load(Ordering::Relaxed)))
                 .expect("no faults");
             assert_eq!(v, 7);
         }
@@ -143,6 +153,13 @@ fn a_held_lock_forces_entry_aborts() {
 
     let strat = SoleroStrategy::new();
     let stop = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    // Take the hold before any reader starts, so every reader's first
+    // attempt finds the word busy at entry. Readers already running
+    // when the writer acquires can all be mid-section: each then fails
+    // validation and parks in the fallback, and none books the
+    // entry-time abort the hold waits for.
+    let hold = strat.lock().lock_write();
     std::thread::scope(|s| {
         for _ in 0..3 {
             s.spawn(|| {
@@ -159,19 +176,14 @@ fn a_held_lock_forces_entry_aborts() {
         // an entry-time abort is actually on the books (deadline-capped
         // so a genuine regression fails the asserts below, not the
         // clock).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while strat.snapshot().read_enters == 0 && Instant::now() < deadline {
+        while Instant::now() < deadline {
+            let s = strat.snapshot();
+            if s.abort_locked_at_entry + s.abort_inflation > 0 {
+                break;
+            }
             std::thread::yield_now();
         }
-        strat.write_section(|| {
-            while Instant::now() < deadline {
-                let s = strat.snapshot();
-                if s.abort_locked_at_entry + s.abort_inflation > 0 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        });
+        drop(hold);
         stop.store(true, Ordering::Release);
     });
     let s = strat.snapshot();
