@@ -156,7 +156,7 @@ fn main() {
 
     // Assembled by hand like BENCH_adaptive.json: JsonObject has no
     // nested values, and the document must stay `solero_obs::json`
-    // re-parseable (covered by tests/bench_artifacts.rs-style checks).
+    // re-parseable (crates/bench/tests/bench_artifacts.rs).
     let doc = format!(
         "{{\n  \"workload\": \"read-storm\",\n  \
          \"reads_per_cell\": {total},\n  \

@@ -173,7 +173,8 @@ fn main() {
     let runs = cells.iter().map(Cell::to_json).collect::<Vec<_>>().join(",\n    ");
 
     // Hand-assembled like BENCH_adaptive.json / BENCH_bravo.json; must
-    // stay `solero_obs::json` re-parseable (tests/bench_artifacts.rs).
+    // stay `solero_obs::json` re-parseable
+    // (crates/bench/tests/bench_artifacts.rs).
     let doc = format!(
         "{{\n  \"workload\": \"store-open-loop-zipfian\",\n  \
          \"keys\": {},\n  \

@@ -1,16 +1,16 @@
-//! `obs_check` — offline JSONL schema checker for observability traces.
+//! `obs_check` — offline checker for the per-lock counter export.
 //!
 //! ```text
 //! obs_check [path]    # default: results/obs.jsonl
 //! ```
 //!
-//! Validates every line against the schema in [`solero_obs::schema`]
-//! and exits non-zero on the first malformed line (or if the file holds
-//! no `meta` line at all). Runs with no features: the schema checker is
-//! part of the always-on half of `solero-obs`, so CI can validate traces
-//! produced by an `obs-trace` build without rebuilding the world.
+//! Reads every line back with `StatsSnapshot::from_jsonl`, the reader
+//! behind profile-guided demotion, and exits non-zero on the first
+//! malformed line, or if the file holds no lock line at all.
 
 use std::process::ExitCode;
+
+use solero_runtime::stats::StatsSnapshot;
 
 fn main() -> ExitCode {
     let path = std::env::args()
@@ -23,23 +23,21 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut lines = 0usize;
-    let mut saw_meta = false;
+    let mut locks = 0usize;
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        if let Err(e) = solero_obs::schema::validate_line(line) {
+        if let Err(e) = StatsSnapshot::from_jsonl(line) {
             eprintln!("obs_check: {path}:{}: {e}", i + 1);
             return ExitCode::FAILURE;
         }
-        saw_meta |= line.contains("\"type\":\"meta\"");
-        lines += 1;
+        locks += 1;
     }
-    if !saw_meta {
-        eprintln!("obs_check: {path}: no meta line found");
+    if locks == 0 {
+        eprintln!("obs_check: {path}: no lock line found");
         return ExitCode::FAILURE;
     }
-    println!("obs_check: {path}: {lines} lines OK");
+    println!("obs_check: {path}: {locks} lock lines OK");
     ExitCode::SUCCESS
 }

@@ -1,26 +1,19 @@
-//! `obs_smoke` — end-to-end exercise of the observability layer.
+//! `obs_smoke` — end-to-end exercise of the per-lock counter export.
 //!
-//! Built only with `--features obs-trace`. Installs a [`TraceRecorder`],
-//! runs a short hostile HashMap workload over the boxed strategy fleet
-//! (so aborts of several flavors actually occur), exports the JSONL
-//! trace to `results/obs.jsonl`, and prints the human-readable report
-//! plus the abort/latency tables. `obs_check` then validates the file
-//! against the schema in CI.
+//! Runs a short hostile HashMap workload over the boxed strategy fleet
+//! (so aborts of several flavors actually occur) and writes each
+//! entry's measured `StatsSnapshot` to `results/obs.jsonl`, one line
+//! per lock with the fleet index as its id. `obs_check` then reads the
+//! file back in CI. Any build can run it: the counters are always on.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
-use solero_bench::report::{obs_abort_table, obs_latency_table};
-use solero_obs::TraceRecorder;
 use solero_testkit::rng::TestRng;
-use solero_workloads::driver::{export_obs, measure, RunConfig};
+use solero_workloads::driver::{measure, RunConfig};
 use solero_workloads::maps::{MapBench, MapConfig, MapKind};
 
 fn main() {
-    if !solero_obs::install(Box::new(TraceRecorder::new())) {
-        eprintln!("obs_smoke: a recorder was already installed");
-        std::process::exit(1);
-    }
-
     // A write-heavy, contended configuration so speculative readers
     // abort for real reasons: 4 threads, one shared map, 20% writes.
     let cfg = RunConfig {
@@ -30,39 +23,33 @@ fn main() {
         windows: 2,
         runs: 1,
     };
-    for entry in solero_bench::figures::fleet() {
+    let mut export = String::new();
+    for (id, entry) in solero_bench::figures::fleet().into_iter().enumerate() {
         let b = MapBench::new_boxed(MapConfig::paper(MapKind::Hash, 20, 1), entry.make);
         let m = measure(&cfg, |t, rng: &mut TestRng| b.op(t, rng), || b.snapshot());
-        println!("{:>15}: {:.0} ops/s", entry.name, m.ops_per_sec);
+        println!(
+            "{:>18}: {:>10.0} ops/s  {:>8} read aborts",
+            entry.name, m.ops_per_sec, m.stats.read_aborts
+        );
+        if m.stats.total_sections() == 0 {
+            eprintln!("obs_smoke: {} counted no sections", entry.name);
+            std::process::exit(1);
+        }
+        let _ = writeln!(export, "{}", m.stats.to_jsonl(id as u64, entry.name));
     }
 
     let path = Path::new("results/obs.jsonl");
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("obs_smoke: cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, &export));
+    if let Err(e) = written {
+        eprintln!("obs_smoke: cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
-    match export_obs(path) {
-        Ok(Some(report)) => {
-            println!("{report}");
-            let rec = solero_obs::recorder().expect("recorder installed above");
-            let snap = rec.snapshot();
-            print!("{}", obs_abort_table(&snap).render());
-            print!("{}", obs_latency_table(&snap).render());
-            println!("wrote {}", path.display());
-            if snap.events_recorded == 0 {
-                eprintln!("obs_smoke: tracing recorded no events");
-                std::process::exit(1);
-            }
-        }
-        Ok(None) => {
-            eprintln!("obs_smoke: recorder vanished after install");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("obs_smoke: export failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    println!(
+        "wrote {} lock lines to {}",
+        export.lines().count(),
+        path.display()
+    );
 }

@@ -326,7 +326,7 @@ pub fn fig14(h: &HarnessConfig) -> Table {
 
 /// Figure 15 — SOLERO speculative-failure ratio per thread count, plus
 /// the abort-reason breakdown behind each ratio (from the per-reason
-/// counters the locks keep; no tracing needed).
+/// counters the locks keep).
 pub fn fig15(h: &HarnessConfig) -> Vec<Table> {
     let solero: fn() -> BoxedStrategy = || Box::new(SoleroStrategy::new());
     let mut ratios = Table::new(

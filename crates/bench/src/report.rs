@@ -104,44 +104,6 @@ impl Table {
     }
 }
 
-/// Renders an observability snapshot's abort-reason counts as a table
-/// (the tabular companion to `solero_obs::report::render`).
-pub fn obs_abort_table(snap: &solero_obs::ObsSnapshot) -> Table {
-    let mut t = Table::new("Lock-event aborts by reason", &["reason", "count", "share"]);
-    let total = snap.abort_total();
-    for (reason, &count) in solero_obs::AbortReason::ALL.iter().zip(&snap.aborts) {
-        t.row(vec![
-            reason.name().into(),
-            count.to_string(),
-            if total == 0 {
-                "-".into()
-            } else {
-                pct(count as f64 / total as f64)
-            },
-        ]);
-    }
-    t
-}
-
-/// Renders per-strategy section-latency percentiles as a table.
-pub fn obs_latency_table(snap: &solero_obs::ObsSnapshot) -> Table {
-    let mut t = Table::new(
-        "Section latency by strategy (ns, log2-bucket upper bounds)",
-        &["strategy", "kind", "count", "mean", "p50", "p99"],
-    );
-    for s in &snap.sections {
-        t.row(vec![
-            s.strategy.clone(),
-            s.kind.name().into(),
-            s.hist.count().to_string(),
-            f3(s.hist.mean()),
-            s.hist.percentile(0.50).to_string(),
-            s.hist.percentile(0.99).to_string(),
-        ]);
-    }
-    t
-}
-
 /// Formats a float with 3 significant digits of padding for tables.
 pub fn f3(v: f64) -> String {
     if !v.is_finite() {
@@ -182,17 +144,6 @@ mod tests {
         t.row(vec!["x,y".into(), "z".into()]);
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
-    }
-
-    #[test]
-    fn obs_tables_render_from_a_snapshot() {
-        let mut snap = solero_obs::ObsSnapshot::default();
-        snap.aborts = [3, 1, 0, 0, 0];
-        let t = obs_abort_table(&snap);
-        assert_eq!(t.len(), 5);
-        let csv = t.to_csv();
-        assert!(csv.contains("locked_at_entry,3,75.0%"), "{csv}");
-        assert!(obs_latency_table(&snap).is_empty());
     }
 
     #[test]

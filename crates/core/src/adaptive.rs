@@ -29,8 +29,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use solero_obs::ring::CachePadded;
-use solero_obs::AbortReason;
+use solero_obs::{AbortReason, CachePadded};
 
 /// Number of abort taxonomy classes ([`AbortReason::ALL`]).
 const CLASSES: usize = 5;

@@ -138,18 +138,6 @@ impl SoleroConfigBuilder {
         self
     }
 
-    /// Explicit elision mode.
-    pub fn elision(mut self, mode: ElisionMode) -> Self {
-        self.cfg.elision = mode;
-        self
-    }
-
-    /// Explicit barrier mode.
-    pub fn barrier(mut self, mode: BarrierMode) -> Self {
-        self.cfg.barrier = mode;
-        self
-    }
-
     /// Three-tier contention loop sizes.
     pub fn spin(mut self, spin: SpinConfig) -> Self {
         self.cfg.spin = spin;

@@ -22,7 +22,6 @@ use std::time::Duration;
 
 use solero_sync::atomic::{AtomicU64, Ordering};
 
-use solero_obs::{EventKind, LockEvent};
 use solero_runtime::osmonitor::{next_lock_gen, MonitorKey, MonitorTable, OsMonitor};
 use solero_runtime::spin::Probe;
 use solero_runtime::stats::LockStats;
@@ -317,7 +316,6 @@ impl<'a> CompactRef<'a> {
         } else {
             self.slow_acquire(tid);
         }
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
     }
 
     /// Acquires the lock for a read section the adaptive policy
@@ -351,7 +349,6 @@ impl<'a> CompactRef<'a> {
         });
         if flat == Some(true) {
             self.stats().write_enters.fetch_add(1, Ordering::Relaxed);
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
         } else {
             self.acquire(tid);
         }
@@ -360,7 +357,6 @@ impl<'a> CompactRef<'a> {
     /// Releases a writing critical section (Figure 6, lines 15–21).
     #[inline]
     pub(crate) fn release(self, tid: ThreadId) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteRelease));
         let v = self.load(Ordering::Relaxed);
         if v.fast_releasable() {
             debug_assert_eq!(v.tid(), Some(tid), "release by non-owner");
@@ -791,7 +787,14 @@ mod tests {
         let h = std::thread::spawn(move || {
             l2.write(|| {});
         });
-        std::thread::sleep(Duration::from_millis(30));
+        // Hold the lock until the contender has booked its FLC wait,
+        // which it does just before parking: a timed hold can end
+        // before a contender under load gets there. Deadline-capped, so
+        // a regression fails the asserts below, not the clock.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while l.stats().snapshot().flc_waits == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         l.exit_write(tid, t);
         h.join().unwrap();
         // Drain any fat state with one more uncontended cycle.

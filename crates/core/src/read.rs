@@ -24,7 +24,7 @@ use std::marker::PhantomData;
 
 use solero_sync::atomic::{AtomicU64, Ordering};
 
-use solero_obs::{AbortReason, EventKind, LockEvent};
+use solero_obs::AbortReason;
 use solero_runtime::fault::Fault;
 use solero_runtime::spin::Probe;
 use solero_runtime::stats::LockStats;
@@ -151,9 +151,6 @@ pub trait LockWord<'a>: Copy {
     /// The word a speculative section captures and validates.
     fn word(self) -> &'a AtomicU64;
 
-    /// Stable lock identity for observability events.
-    fn obs_id(self) -> u64;
-
     /// True if a section may speculate on the word value `raw`.
     fn is_free(raw: u64) -> bool;
 
@@ -197,7 +194,7 @@ pub trait LockWord<'a>: Copy {
     }
 
     /// Classifies one aborted speculative read attempt: the stats
-    /// taxonomy (Figure 15), the adaptive policy and the trace event.
+    /// taxonomy (Figure 15) and the adaptive policy.
     /// Every abort goes through here exactly once.
     #[cold]
     fn note_abort(self, reason: AbortReason) {
@@ -208,7 +205,6 @@ pub trait LockWord<'a>: Copy {
                 stats.policy_disables.fetch_add(1, Ordering::Relaxed);
             }
         }
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Abort(reason)));
     }
 
     /// Books one successful elision: the counter, plus the adaptive
@@ -255,7 +251,6 @@ pub trait LockWord<'a>: Copy {
             // Busy at entry: slow entry, then the driver loop.
             return self.read_busy_entry(f);
         }
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
         config.barrier.read_entry_fence();
         let mut s = ReadSession::new(self, v, false);
         let out = f(&mut s);
@@ -330,13 +325,10 @@ pub trait LockWord<'a>: Copy {
                     .fallback_acquires
                     .fetch_add(1, Ordering::Relaxed);
                 self.note_abort(AbortReason::RetryExhaustedFallback);
-                let v = self.fallback_acquire(tid);
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::FallbackAcquire));
-                (v, true)
+                (self.fallback_acquire(tid), true)
             }
         };
         if !held {
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ElisionAttempt));
             self.config().barrier.read_entry_fence();
         }
         let mut s = ReadSession::new(self, v, held);
@@ -468,11 +460,6 @@ impl<'a> LockWord<'a> for CompactRef<'a> {
     #[inline]
     fn word(self) -> &'a AtomicU64 {
         self.word
-    }
-
-    #[inline]
-    fn obs_id(self) -> u64 {
-        self.key.addr as u64
     }
 
     #[inline]

@@ -41,7 +41,6 @@ use std::mem::{align_of, size_of};
 
 use solero_sync::atomic::{AtomicU64, Ordering};
 
-use solero_obs::{EventKind, LockEvent, SectionKind};
 use solero_runtime::fault::Fault;
 use solero_runtime::spin::Probe;
 use solero_runtime::stats::{LockStats, StatsSnapshot};
@@ -239,15 +238,13 @@ impl<T: SeqData> SeqLock<T> {
     fn writer_acquire(&self) -> u64 {
         let h = self.handle(false);
         h.stats().write_enters.fetch_add(1, Ordering::Relaxed);
-        let v = match h.try_lock() {
+        match h.try_lock() {
             Some(v) => {
                 h.stats().write_fast.fetch_add(1, Ordering::Relaxed);
                 v
             }
             None => h.lock_slow(),
-        };
-        solero_obs::emit(|| LockEvent::now(h.obs_id(), EventKind::WriteAcquire));
-        v
+        }
     }
 
     /// Writing release: publish the payload and the next even word.
@@ -347,7 +344,6 @@ impl SeqRef<'_> {
 
     /// Writing release: the next even word.
     fn unlock(self, displaced: u64) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteRelease));
         self.word
             .store(displaced.wrapping_add(2), Ordering::Release);
     }
@@ -376,11 +372,6 @@ impl<'a> LockWord<'a> for SeqRef<'a> {
     #[inline]
     fn word(self) -> &'a AtomicU64 {
         self.word
-    }
-
-    #[inline]
-    fn obs_id(self) -> u64 {
-        self.word as *const AtomicU64 as u64
     }
 
     #[inline]
@@ -434,8 +425,9 @@ impl<'a> LockWord<'a> for SeqRef<'a> {
 }
 
 /// The inline-seqlock contender of the strategy fleet (`SeqLock` in
-/// the benchmark tables): a [`SeqLock`] behind [`SyncStrategy`], plus
-/// the typed `*_inline` fast paths for payload access without closure
+/// the benchmark tables): a [`SeqLock`] behind [`SyncStrategy`]. The
+/// lock's typed `*_inline` fast paths stay reachable through
+/// [`lock`](SeqStrategy::lock) for payload access without closure
 /// dispatch.
 ///
 /// # Examples
@@ -445,7 +437,7 @@ impl<'a> LockWord<'a> for SeqRef<'a> {
 ///
 /// let s = SeqStrategy::new([7u64, 7]);
 /// assert_eq!(s.name(), "SeqLock");
-/// assert_eq!(s.read_inline(), [7, 7]);
+/// assert_eq!(s.lock().read_inline(), [7, 7]);
 ///
 /// // The closure sections make it a drop-in fleet member too:
 /// let sum = s
@@ -487,30 +479,6 @@ impl<T: SeqData> SeqStrategy<T> {
     pub fn lock(&self) -> &SeqLock<T> {
         &self.lock
     }
-
-    /// Typed inline read — [`SeqLock::read_inline`] wrapped in the obs
-    /// section timing, beside the closure-based
-    /// [`read_section`](SyncStrategy::read_section).
-    pub fn read_inline(&self) -> T {
-        let t = solero_obs::section_start();
-        let v = self.lock.read_inline();
-        solero_obs::section_end(t, self.label, SectionKind::Read);
-        v
-    }
-
-    /// Typed inline overwrite as a writing section.
-    pub fn write_inline(&self, value: T) {
-        let t = solero_obs::section_start();
-        self.lock.write_inline(value);
-        solero_obs::section_end(t, self.label, SectionKind::Write);
-    }
-
-    /// Typed inline read-modify-write as a writing section.
-    pub fn update_inline(&self, f: impl FnOnce(&mut T)) {
-        let t = solero_obs::section_start();
-        self.lock.update_inline(f);
-        solero_obs::section_end(t, self.label, SectionKind::Write);
-    }
 }
 
 impl<T: SeqData> SyncStrategy for SeqStrategy<T> {
@@ -519,11 +487,9 @@ impl<T: SeqData> SyncStrategy for SeqStrategy<T> {
     }
 
     fn write_section<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t = solero_obs::section_start();
         let v = self.lock.writer_acquire();
         let r = f();
         self.lock.writer_release(v);
-        solero_obs::section_end(t, self.label, SectionKind::Write);
         r
     }
 
@@ -531,20 +497,14 @@ impl<T: SeqData> SyncStrategy for SeqStrategy<T> {
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
-        let r = self.lock.handle(false).read_section(|s| f(s));
-        solero_obs::section_end(t, self.label, SectionKind::Read);
-        r
+        self.lock.handle(false).read_section(|s| f(s))
     }
 
     fn mostly_section<R>(
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
-        let r = self.lock.handle(false).read_section(|s| f(s));
-        solero_obs::section_end(t, self.label, SectionKind::Mostly);
-        r
+        self.lock.handle(false).read_section(|s| f(s))
     }
 
     fn snapshot(&self) -> StatsSnapshot {
@@ -796,7 +756,7 @@ mod tests {
         assert_eq!(s.name(), "Adaptive-SeqLock");
         assert!(s.lock().policy().is_some());
         for _ in 0..10 {
-            assert_eq!(s.read_inline(), 0);
+            assert_eq!(s.lock().read_inline(), 0);
         }
         assert_eq!(s.snapshot().elision_success, 10);
     }

@@ -13,7 +13,6 @@ use std::marker::PhantomData;
 
 use solero_sync::atomic::Ordering;
 
-use solero_obs::{EventKind, LockEvent};
 use solero_runtime::events::EventPoll;
 use solero_runtime::fault::Fault;
 use solero_runtime::thread::ThreadId;
@@ -142,7 +141,6 @@ impl<'a, W: LockWord<'a>> ReadSession<'a, W> {
             .stats()
             .mostly_upgrades
             .fetch_add(1, Ordering::Relaxed);
-        solero_obs::emit(|| LockEvent::now(self.lock.obs_id(), EventKind::MostlyUpgrade));
         self.held = true;
         Ok(())
     }

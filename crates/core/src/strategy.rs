@@ -13,7 +13,6 @@
 //! workload code — including its back-edge check-points — is identical
 //! across strategies, keeping the comparison fair.
 
-use solero_obs::SectionKind;
 use solero_runtime::fault::Fault;
 use solero_runtime::stats::StatsSnapshot;
 use solero_runtime::thread::ThreadId;
@@ -102,12 +101,10 @@ impl SyncStrategy for LockStrategy {
     }
 
     fn write_section<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t = solero_obs::section_start();
         let tid = ThreadId::current();
         self.lock.enter(tid);
         let r = f();
         self.lock.exit(tid);
-        solero_obs::section_end(t, self.name(), SectionKind::Write);
         r
     }
 
@@ -115,14 +112,12 @@ impl SyncStrategy for LockStrategy {
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
         let tid = ThreadId::current();
         // Same acquisition; counted as a read section so Table 1's
         // read-only ratio is strategy-independent.
         self.lock.enter_read(tid);
         let r = f(&mut NullCheckpoint);
         self.lock.exit(tid);
-        solero_obs::section_end(t, self.name(), SectionKind::Read);
         r
     }
 
@@ -130,12 +125,10 @@ impl SyncStrategy for LockStrategy {
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
         let tid = ThreadId::current();
         self.lock.enter_read(tid);
         let r = f(&mut NullCheckpoint);
         self.lock.exit(tid);
-        solero_obs::section_end(t, self.name(), SectionKind::Mostly);
         r
     }
 
@@ -180,41 +173,26 @@ impl<L: RawRwLock> SyncStrategy for RwStrategy<L> {
     }
 
     fn write_section<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t = solero_obs::section_start();
-        let r = {
-            let _g = self.lock.write();
-            f()
-        };
-        solero_obs::section_end(t, self.name(), SectionKind::Write);
-        r
+        let _g = self.lock.write();
+        f()
     }
 
     fn read_section<R>(
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
-        let r = {
-            let _g = self.lock.read();
-            f(&mut NullCheckpoint)
-        };
-        solero_obs::section_end(t, self.name(), SectionKind::Read);
-        r
+        let _g = self.lock.read();
+        f(&mut NullCheckpoint)
     }
 
     fn mostly_section<R>(
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
-        let r = {
-            // A read-mostly section may write after `ensure_write`; under
-            // a read-write lock that requires the write mode.
-            let _g = self.lock.write();
-            f(&mut NullCheckpoint)
-        };
-        solero_obs::section_end(t, self.name(), SectionKind::Mostly);
-        r
+        // A read-mostly section may write after `ensure_write`; under a
+        // read-write lock that requires the write mode.
+        let _g = self.lock.write();
+        f(&mut NullCheckpoint)
     }
 
     fn snapshot(&self) -> StatsSnapshot {
@@ -292,30 +270,21 @@ impl SyncStrategy for SoleroStrategy {
     }
 
     fn write_section<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t = solero_obs::section_start();
-        let r = self.lock.write(f);
-        solero_obs::section_end(t, self.name(), SectionKind::Write);
-        r
+        self.lock.write(f)
     }
 
     fn read_section<R>(
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
-        let r = self.lock.read_only(|s| f(s));
-        solero_obs::section_end(t, self.name(), SectionKind::Read);
-        r
+        self.lock.read_only(|s| f(s))
     }
 
     fn mostly_section<R>(
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        let t = solero_obs::section_start();
-        let r = self.lock.read_mostly(|s| f(s));
-        solero_obs::section_end(t, self.name(), SectionKind::Mostly);
-        r
+        self.lock.read_mostly(|s| f(s))
     }
 
     fn snapshot(&self) -> StatsSnapshot {

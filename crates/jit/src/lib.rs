@@ -19,9 +19,9 @@
 //!   diagnostics;
 //! * [`lower`] — lock-plan selection and back-edge check-point
 //!   placement;
-//! * [`obsprofile`] — profile-guided demotion: a prior run's
-//!   `solero-obs` JSONL export names write-heavy locks, whose regions
-//!   are re-planned conventionally;
+//! * [`obsprofile`] — profile-guided demotion: a prior run's per-lock
+//!   counter export (one `StatsSnapshot` line per [`ir::LockId`]) names
+//!   write-heavy locks, whose regions are re-planned conventionally;
 //! * [`interp`] — the execution engine: runs regions speculatively with
 //!   frame rollback, exactly as the paper's generated code re-executes
 //!   a failed critical section.

@@ -1,133 +1,85 @@
-//! Profile-guided demotion from a prior run's observability export.
+//! Profile-guided demotion from a prior run's per-lock counter export.
 //!
 //! [`crate::profile`] adapts plans to *intra-method* behaviour (which
 //! blocks are cold). This module closes the loop one level up: a
-//! previous run's `solero-obs` JSONL export says how each *lock*
-//! actually behaved — how often it was written, how often speculative
-//! readers aborted — and a statically read-only region on a lock that
-//! the profile shows to be write-hot is better compiled conventionally
-//! than left to abort its way to the fallback path at runtime.
+//! previous run's counter export says how each *lock* actually behaved
+//! — how often it was written, how often speculative readers aborted —
+//! and a statically read-only region on a lock that the profile shows
+//! to be write-hot is better compiled conventionally than left to abort
+//! its way to the fallback path at runtime.
 //!
 //! The pipeline:
 //!
-//! 1. run a workload with the `trace` feature and export JSONL
-//!    (`solero_workloads::driver::export_obs`);
-//! 2. [`ObsProfile::parse`] the export — every line is validated
-//!    against the [`solero_obs::schema`] used by the `obs_check` CI
-//!    binary, and a malformed line is an **error carrying its line
+//! 1. run a workload and write each lock's `StatsSnapshot` as one
+//!    export line keyed by its [`LockId`]
+//!    ([`StatsSnapshot::to_jsonl`]);
+//! 2. [`ObsProfile::parse`] the export — every line goes through
+//!    [`StatsSnapshot::from_jsonl`], the reader the `obs_check` binary
+//!    uses, and a malformed line is an **error carrying its line
 //!    number**, never silently skipped (a truncated profile that loses
-//!    its write events would otherwise quietly demote nothing);
+//!    its write counts would otherwise quietly demote nothing);
 //! 3. [`ObsProfile::write_heavy`] names the offending locks;
 //! 4. [`crate::lower::ProgramPlan::demote_locks`] flips their regions
 //!    to [`crate::lower::LockPlan::Conventional`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use solero_obs::json::{parse, Value};
-use solero_obs::schema::validate_line;
+use solero_runtime::stats::StatsSnapshot;
 
 use crate::ir::LockId;
 
-/// What one lock did during the profiled run, aggregated from `event`
-/// lines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockActivity {
-    /// `write_acquire` events: real writing sections.
-    pub writes: u64,
-    /// `elision_attempt` events: speculative read-only entries.
-    pub elisions: u64,
-    /// `abort` events: speculation that failed, any reason.
-    pub aborts: u64,
-    /// `mostly_upgrade` events: read-mostly sections that did write.
-    pub upgrades: u64,
-}
-
-impl LockActivity {
-    /// Sections that touched the lock word for real: writes plus
-    /// in-place upgrades.
-    pub fn writing_sections(&self) -> u64 {
-        self.writes + self.upgrades
-    }
-
-    /// All section entries the profile attributes to this lock.
-    pub fn entries(&self) -> u64 {
-        self.writes + self.upgrades + self.elisions
-    }
-}
-
-/// A parsed, schema-validated observability export, aggregated per
-/// lock.
+/// A parsed counter export, one merged snapshot per lock.
 #[derive(Debug, Clone, Default)]
 pub struct ObsProfile {
-    locks: BTreeMap<LockId, LockActivity>,
+    locks: BTreeMap<LockId, StatsSnapshot>,
 }
 
 impl ObsProfile {
-    /// Parses a JSONL export.
-    ///
-    /// Non-`event` lines (`meta`, `abort_summary`, `hist`) are
-    /// validated but contribute nothing; blank lines are permitted.
+    /// Parses a JSONL export. Lines naming the same lock are merged;
+    /// blank lines are permitted.
     ///
     /// # Errors
     ///
-    /// The first line that fails [`validate_line`], as
-    /// `"line N: <why>"`. Rejecting instead of skipping is deliberate:
-    /// a corrupt profile must not masquerade as a quiet one.
+    /// The first line that [`StatsSnapshot::from_jsonl`] rejects, or
+    /// whose `lock` does not fit a [`LockId`], as `"line N: <why>"`.
+    /// Rejecting instead of skipping is deliberate: a corrupt profile
+    /// must not masquerade as a quiet one.
     pub fn parse(input: &str) -> Result<Self, String> {
-        let mut locks: BTreeMap<LockId, LockActivity> = BTreeMap::new();
+        let mut locks: BTreeMap<LockId, StatsSnapshot> = BTreeMap::new();
         for (i, raw) in input.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() {
                 continue;
             }
-            validate_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            // validate_line parsed it once already; a second parse keeps
-            // this module decoupled from the validator's internals.
-            let v = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let o = v.as_obj().expect("validated lines are objects");
-            if o.get("type").and_then(Value::as_str) != Some("event") {
-                continue;
-            }
-            let lock = o
-                .get("lock")
-                .and_then(Value::as_num)
-                .expect("validated events carry a numeric lock") as LockId;
-            let kind = o
-                .get("kind")
-                .and_then(Value::as_str)
-                .expect("validated events carry a kind");
-            let a = locks.entry(lock).or_default();
-            match kind {
-                "write_acquire" => a.writes += 1,
-                "elision_attempt" => a.elisions += 1,
-                "abort" => a.aborts += 1,
-                "mostly_upgrade" => a.upgrades += 1,
-                // Releases, read acquires and fallback acquires shape
-                // no demotion decision.
-                _ => {}
-            }
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let (lock, _, snap) = StatsSnapshot::from_jsonl(line).map_err(at)?;
+            let lock = LockId::try_from(lock)
+                .map_err(|_| at(format!("lock {lock} does not fit a LockId")))?;
+            let merged = locks.entry(lock).or_default();
+            *merged = merged.merge(&snap);
         }
         Ok(ObsProfile { locks })
     }
 
-    /// The recorded activity for `lock`, if the profile saw it at all.
-    pub fn activity(&self, lock: LockId) -> Option<&LockActivity> {
+    /// The recorded counters for `lock`, if the profile saw it at all.
+    pub fn activity(&self, lock: LockId) -> Option<&StatsSnapshot> {
         self.locks.get(&lock)
     }
 
     /// Locks the profile shows to be poor elision candidates: at least
-    /// `min_entries` recorded section entries, of which at least
-    /// `write_fraction` were writing sections (writes + upgrades).
+    /// `min_entries` section entries (`write_enters + read_enters`), of
+    /// which at least `write_fraction` wrote (`write_enters +
+    /// mostly_upgrades`).
     ///
     /// Locks below `min_entries` are never demoted — a profile that
     /// barely saw a lock has no standing to disable its elision.
     pub fn write_heavy(&self, min_entries: u64, write_fraction: f64) -> BTreeSet<LockId> {
         self.locks
             .iter()
-            .filter(|(_, a)| {
-                let entries = a.entries();
-                entries >= min_entries.max(1)
-                    && a.writing_sections() as f64 >= write_fraction * entries as f64
+            .filter(|(_, s)| {
+                let entries = s.total_sections();
+                let writing = s.write_enters + s.mostly_upgrades;
+                entries >= min_entries.max(1) && writing as f64 >= write_fraction * entries as f64
             })
             .map(|(&l, _)| l)
             .collect()
@@ -137,95 +89,68 @@ impl ObsProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use solero_obs::json::JsonObject;
 
-    fn event(lock: u64, kind: &str) -> String {
-        let mut o = JsonObject::new()
-            .str("type", "event")
-            .num("ts_ns", 1)
-            .num("thread", 0)
-            .num("lock", lock)
-            .str("kind", kind);
-        if kind == "abort" {
-            o = o.str("reason", "locked_at_entry");
-        }
-        o.finish()
+    /// One export line for `lock` with the counters `write_heavy` reads.
+    fn line(lock: u64, write_enters: u64, read_enters: u64, mostly_upgrades: u64) -> String {
+        let s = StatsSnapshot {
+            write_enters,
+            read_enters,
+            mostly_upgrades,
+            ..Default::default()
+        };
+        s.to_jsonl(lock, "l")
     }
 
     #[test]
-    fn aggregates_events_per_lock() {
-        let lines = [
-            event(3, "write_acquire"),
-            event(3, "write_release"),
-            event(3, "elision_attempt"),
-            event(3, "abort"),
-            event(9, "elision_attempt"),
-            event(9, "mostly_upgrade"),
-        ]
-        .join("\n");
+    fn merges_lines_per_lock() {
+        let lines = [line(3, 1, 1, 0), line(9, 0, 1, 0), line(9, 0, 0, 1)].join("\n");
         let p = ObsProfile::parse(&lines).unwrap();
         let a3 = p.activity(3).unwrap();
         assert_eq!(
-            (a3.writes, a3.elisions, a3.aborts, a3.upgrades),
-            (1, 1, 1, 0)
+            (a3.write_enters, a3.read_enters, a3.mostly_upgrades),
+            (1, 1, 0)
         );
         let a9 = p.activity(9).unwrap();
-        assert_eq!(a9.upgrades, 1);
-        assert_eq!(a9.writing_sections(), 1);
+        assert_eq!((a9.read_enters, a9.mostly_upgrades), (1, 1));
         assert!(p.activity(4).is_none());
     }
 
     #[test]
     fn malformed_line_is_an_error_with_its_number() {
-        let lines = format!("{}\nnot json at all\n", event(1, "release"));
+        let lines = format!("{}\nnot json at all\n", line(1, 0, 0, 0));
         let err = ObsProfile::parse(&lines).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
 
-        // Schema violations are rejected too, not just parse failures.
-        let bad = r#"{"type":"event","ts_ns":1,"thread":0,"lock":2,"kind":"abort"}"#;
+        // Format violations are rejected too, not just parse failures.
+        let bad = r#"{"lock":2,"name":"l","write_enters":1}"#;
         let err = ObsProfile::parse(bad).unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]
-    fn blank_lines_and_non_event_lines_are_fine() {
-        let lines = format!(
-            "{}\n\n{}\n",
-            JsonObject::new()
-                .str("type", "meta")
-                .num("version", 1)
-                .num("threads", 2)
-                .num("events_recorded", 0)
-                .num("events_retained", 0)
-                .finish(),
-            event(5, "elision_attempt"),
+    fn lock_id_must_fit_a_lock_id() {
+        let max = u64::from(LockId::MAX);
+        let p = ObsProfile::parse(&line(max, 0, 1, 0)).unwrap();
+        assert!(p.activity(LockId::MAX).is_some());
+
+        let lines = format!("\n{}", line(max + 1, 0, 1, 0));
+        let err = ObsProfile::parse(&lines).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("4294967296"),
+            "{err}"
         );
-        let p = ObsProfile::parse(&lines).unwrap();
-        assert_eq!(p.activity(5).unwrap().elisions, 1);
     }
 
     #[test]
     fn write_heavy_applies_both_thresholds() {
-        let mut lines = Vec::new();
-        // Lock 1: 8 writes, 2 elisions — write-heavy.
-        for _ in 0..8 {
-            lines.push(event(1, "write_acquire"));
-        }
-        for _ in 0..2 {
-            lines.push(event(1, "elision_attempt"));
-        }
-        // Lock 2: 1 write, 99 elisions — read-dominated.
-        lines.push(event(2, "write_acquire"));
-        for _ in 0..99 {
-            lines.push(event(2, "elision_attempt"));
-        }
-        // Lock 3: 2 writes, nothing else — but under min_entries.
-        lines.push(event(3, "write_acquire"));
-        lines.push(event(3, "write_acquire"));
-        let p = ObsProfile::parse(&lines.join("\n")).unwrap();
-        let heavy = p.write_heavy(5, 0.5);
-        assert!(heavy.contains(&1));
-        assert!(!heavy.contains(&2));
-        assert!(!heavy.contains(&3), "too few entries to judge");
+        let lines = [
+            line(1, 8, 2, 0),  // 8 writes, 2 reads — write-heavy.
+            line(2, 1, 99, 0), // 1 write, 99 reads — read-dominated.
+            line(3, 2, 0, 0),  // 2 writes, nothing else — under min_entries.
+            line(4, 0, 6, 6),  // reads that all upgraded in place.
+        ]
+        .join("\n");
+        let p = ObsProfile::parse(&lines).unwrap();
+        assert_eq!(p.write_heavy(5, 0.5), BTreeSet::from([1, 4]));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! [`LatencyHistogram`] is the concurrent recording side (relaxed
 //! atomic buckets); [`HistSnapshot`] is the plain-array copy that
-//! merges like `StatsSnapshot` and serializes into the JSONL export.
-//! Covers 1 ns .. 2^48 ns (~78 h) — one `u64` counter per power of two.
+//! merges like `StatsSnapshot`. The workloads' closed- and open-loop
+//! latency recorders use both. Covers 1 ns .. 2^48 ns (~78 h) — one
+//! `u64` counter per power of two.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,10 +1,12 @@
-//! Minimal JSON support for the JSONL export and its schema checker.
+//! Minimal JSON support for the per-lock counter export and the bench
+//! documents.
 //!
 //! Hand-rolled on purpose: the workspace has zero registry
-//! dependencies, and the export needs only flat objects of numbers,
-//! strings, and one numeric array. The writer half builds one JSONL
-//! line; the parser half exists for the in-tree schema checker
-//! (`obs_check`) and the round-trip tests.
+//! dependencies, and the export needs only flat objects of numbers and
+//! strings. The writer half builds one JSONL line; the parser half
+//! reads the export back (`StatsSnapshot`'s line reader, `obs_check`,
+//! profile-guided demotion) and re-parses the checked-in bench
+//! documents.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -52,20 +54,6 @@ impl JsonObject {
         self
     }
 
-    /// Adds an array-of-integers field.
-    pub fn nums(mut self, key: &str, vs: &[u64]) -> Self {
-        self.sep();
-        let _ = write!(self.out, "{}:[", escape(key));
-        for (i, v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            let _ = write!(self.out, "{v}");
-        }
-        self.out.push(']');
-        self
-    }
-
     /// The finished `{...}` line (no trailing newline).
     pub fn finish(self) -> String {
         format!("{{{}}}", self.out)
@@ -92,7 +80,7 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value (just enough for the schema checker).
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -338,21 +326,17 @@ mod tests {
     #[test]
     fn writer_round_trips_through_parser() {
         let line = JsonObject::new()
-            .str("type", "event")
-            .num("ts_ns", 123)
-            .str("kind", "abort")
-            .nums("buckets", &[1, 2, 3])
+            .str("name", "SOLERO")
+            .num("read_enters", 123)
             .float("ratio", 0.5)
+            .float("nan", f64::NAN)
             .finish();
         let v = parse(&line).unwrap();
         let o = v.as_obj().unwrap();
-        assert_eq!(o["type"].as_str(), Some("event"));
-        assert_eq!(o["ts_ns"].as_num(), Some(123.0));
-        assert_eq!(
-            o["buckets"],
-            Value::Arr(vec![Value::Num(1.0), Value::Num(2.0), Value::Num(3.0)])
-        );
+        assert_eq!(o["name"].as_str(), Some("SOLERO"));
+        assert_eq!(o["read_enters"].as_num(), Some(123.0));
         assert_eq!(o["ratio"].as_num(), Some(0.5));
+        assert_eq!(o["nan"], Value::Null);
     }
 
     #[test]

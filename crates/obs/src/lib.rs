@@ -1,41 +1,42 @@
-//! # solero-obs — lock-event observability
+//! # solero-obs — observability primitives for the SOLERO crates
 //!
-//! A zero-dependency observability layer for the SOLERO lock crates:
+//! A zero-dependency layer at the bottom of the workspace graph (no
+//! deps, not even on the testkit), so every lock crate can use it
+//! without cycles:
 //!
-//! - [`LockEvent`] / [`EventKind`] / [`AbortReason`] — the event model,
-//!   including the five-way abort taxonomy behind Figure 15.
-//! - [`EventRing`] — bounded, cache-padded per-thread ring buffers.
+//! - [`AbortReason`] — the five-way abort taxonomy behind Figure 15.
 //! - [`LatencyHistogram`] / [`HistSnapshot`] — mergeable log2 latency
-//!   histograms for read-/write-section latencies per strategy.
-//! - [`Recorder`] — the dyn-compatible recording strategy, with
-//!   [`NullRecorder`] (drop everything) and [`TraceRecorder`] (full
-//!   fidelity, JSONL-exportable).
-//! - [`emit`] / [`section_start`] / [`section_end`] — the hooks the
-//!   lock crates call. Without the `trace` feature they compile to
-//!   nothing; with it they cost one relaxed load when no recorder is
-//!   installed.
-//! - [`schema::validate_line`] — the JSONL schema checker behind the
-//!   offline `obs_check` CI step.
-//!
-//! The crate sits at the bottom of the workspace graph (no deps, not
-//! even on the testkit) so every lock crate can hook into it without
-//! cycles.
+//!   histograms for the workloads' per-op latencies.
+//! - [`json`] — the JSON writer and parser behind the per-lock counter
+//!   export (`solero-runtime`'s `StatsSnapshot` lines), the `obs_check`
+//!   binary and the bench documents.
+//! - [`CachePadded`] — 64-byte cache-line padding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod event;
+mod abort;
 pub mod hist;
 pub mod json;
-pub mod recorder;
-pub mod report;
-pub mod ring;
-pub mod schema;
 
-pub use event::{now_ns, AbortReason, EventKind, LockEvent};
+pub use abort::AbortReason;
 pub use hist::{HistSnapshot, LatencyHistogram, BUCKETS};
-pub use recorder::{
-    emit, install, recorder, section_end, section_start, NullRecorder, ObsSnapshot, Recorder,
-    SectionKind, SectionStats, SectionTimer, TraceRecorder,
-};
-pub use ring::{EventRing, DEFAULT_RING_CAPACITY};
+
+/// Pads the wrapped value to its own 64-byte cache lines. The testkit
+/// has a 128-byte `CachePadded`; this one stays at 64 bytes so padded
+/// per-lock state (the adaptive policy inside every `SoleroLock`, the
+/// BRAVO visible-readers slots) does not double in size.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct CachePadded<T>(pub T);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cache_padding_is_one_64_byte_line() {
+        assert_eq!(std::mem::align_of::<CachePadded<u8>>(), 64);
+        assert_eq!(std::mem::size_of::<CachePadded<u64>>(), 64);
+    }
+}

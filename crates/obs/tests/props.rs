@@ -1,12 +1,10 @@
 //! Property tests for the observability layer: the log2 histogram
 //! merge must form a commutative monoid (results must not depend on
-//! which thread's snapshot is folded in first), and the JSONL export
-//! of a freshly created recorder must already satisfy the schema that
-//! `obs_check` enforces on real runs.
+//! which thread's snapshot is folded in first). The per-lock counter
+//! export's round trip is tested beside its writer and reader, in
+//! `solero-runtime`'s `tests/stats_export_props.rs`.
 
 use solero_obs::hist::{HistSnapshot, LatencyHistogram, BUCKETS};
-use solero_obs::recorder::{Recorder, TraceRecorder};
-use solero_obs::schema;
 use solero_testkit::{forall, Gen};
 
 /// A random snapshot; bucket counts stay far from `u64::MAX` so sums
@@ -72,36 +70,4 @@ fn recording_agrees_with_merging() {
         assert_eq!(hist.snapshot(), folded);
         assert_eq!(folded.count(), samples.len() as u64);
     });
-}
-
-/// An empty `TraceRecorder` exports a meta line plus one
-/// `abort_summary` line per abort reason — and every line passes the
-/// same schema validation `obs_check` applies to real runs.
-#[test]
-fn empty_recorder_jsonl_roundtrips_through_schema() {
-    let r = TraceRecorder::new();
-    let mut out = Vec::new();
-    r.export_jsonl(&mut out).expect("writing to a Vec cannot fail");
-    let text = String::from_utf8(out).expect("export is UTF-8");
-
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(!lines.is_empty(), "empty recorder still exports metadata");
-    for line in &lines {
-        schema::validate_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-    }
-
-    assert_eq!(
-        lines.iter().filter(|l| l.contains("\"type\":\"meta\"")).count(),
-        1,
-        "exactly one meta line"
-    );
-    let aborts = lines
-        .iter()
-        .filter(|l| l.contains("\"type\":\"abort_summary\""))
-        .count();
-    assert_eq!(aborts, lines.len() - 1, "the rest are abort summaries");
-    assert!(
-        !text.contains("\"type\":\"hist\""),
-        "no sections recorded, so no histogram lines"
-    );
 }

@@ -5,10 +5,33 @@
 //! in this reproduction carries a [`LockStats`] of relaxed atomic
 //! counters; the workload driver aggregates snapshots across locks and
 //! threads.
+//!
+//! A [`StatsSnapshot`] is also the unit of the JSONL export, one line
+//! per lock: `{"lock":<id>,"name":"<label>",...}` followed by every
+//! counter under its field name. [`StatsSnapshot::to_jsonl`] writes a
+//! line and [`StatsSnapshot::from_jsonl`] reads one back; both come
+//! from the one field list below, so the format cannot drift from the
+//! counters.
+//!
+//! ```
+//! use std::sync::atomic::Ordering;
+//! use solero_runtime::stats::{LockStats, StatsSnapshot};
+//!
+//! let stats = LockStats::default();
+//! stats.read_enters.fetch_add(3, Ordering::Relaxed);
+//! let line = stats.snapshot().to_jsonl(7, "cache");
+//! assert!(line.starts_with(r#"{"lock":7,"name":"cache","write_enters":0,"#));
+//! let (lock, name, snap) = StatsSnapshot::from_jsonl(&line).unwrap();
+//! assert_eq!((lock, name.as_str(), snap.read_enters), (7, "cache", 3));
+//! // Every counter must be present.
+//! assert!(StatsSnapshot::from_jsonl(r#"{"lock":7,"name":"cache"}"#).is_err());
+//! ```
 
 use core::fmt;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use solero_obs::json::{self, JsonObject, Value};
 use solero_obs::AbortReason;
 
 macro_rules! counters {
@@ -55,8 +78,54 @@ macro_rules! counters {
                     $($name: self.$name.saturating_sub(earlier.$name),)+
                 }
             }
+
+            /// One export line for lock `lock`, labelled `name`: the id,
+            /// the label, then every counter under its field name.
+            pub fn to_jsonl(&self, lock: u64, name: &str) -> String {
+                JsonObject::new()
+                    .num("lock", lock)
+                    .str("name", name)
+                    $(.num(stringify!($name), self.$name))+
+                    .finish()
+            }
+
+            /// Reads one export line back as `(lock, name, counters)`.
+            ///
+            /// # Errors
+            ///
+            /// The first violation: malformed JSON, a key that is not
+            /// `lock`, `name` or a counter, a missing key, or an id or
+            /// counter that is not a non-negative integer below 2^53.
+            pub fn from_jsonl(line: &str) -> Result<(u64, String, StatsSnapshot), String> {
+                const KEYS: &[&str] = &["lock", "name", $(stringify!($name)),+];
+                let v = json::parse(line)?;
+                let o = v.as_obj().ok_or("line is not a JSON object")?;
+                if let Some(key) = o.keys().find(|k| !KEYS.contains(&k.as_str())) {
+                    return Err(format!("unknown key {key:?}"));
+                }
+                let name = o
+                    .get("name")
+                    .and_then(Value::as_str)
+                    .ok_or("missing string key \"name\"")?;
+                let counters = StatsSnapshot {
+                    $($name: export_uint(o, stringify!($name))?,)+
+                };
+                Ok((export_uint(o, "lock")?, name.to_string(), counters))
+            }
         }
     };
+}
+
+/// An export value as a `u64`. The JSON parser reads numbers as `f64`,
+/// which holds every integer below 2^53 exactly; a larger one could come
+/// back changed, so it is rejected rather than rounded.
+fn export_uint(o: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match o.get(key).map(Value::as_num) {
+        None => Err(format!("missing key {key:?}")),
+        Some(Some(n)) if n >= 0.0 && n.fract() == 0.0 && n < EXACT => Ok(n as u64),
+        Some(_) => Err(format!("{key:?} is not a non-negative integer below 2^53")),
+    }
 }
 
 counters! {
@@ -169,8 +238,8 @@ impl StatsSnapshot {
     }
 
     /// The abort counters paired with their stable reason names, in
-    /// reporting order. The names match `solero-obs`'s `AbortReason`
-    /// taxonomy so counter-based breakdowns and event traces agree.
+    /// reporting order. The names are `solero-obs`'s `AbortReason`
+    /// names.
     pub fn abort_reasons(&self) -> [(&'static str, u64); 5] {
         [
             ("locked_at_entry", self.abort_locked_at_entry),

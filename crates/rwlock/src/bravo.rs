@@ -32,7 +32,6 @@
 
 use std::time::Duration;
 
-use solero_obs::{EventKind, LockEvent};
 use solero_runtime::stats::LockStats;
 use solero_sync::atomic::{AtomicU64, Ordering};
 use solero_sync::{Condvar, Mutex};
@@ -117,8 +116,8 @@ impl BravoPolicy {
 #[derive(Debug)]
 pub struct BravoLock {
     /// 1 while the read bias is installed. Kept first so the struct's
-    /// address (the published table value and obs id) is distinct from
-    /// the embedded underlying lock's.
+    /// address (the published table value) is distinct from the
+    /// embedded underlying lock's.
     rbias: AtomicU64,
     /// Inhibition exponent: grows on each revocation, capped by
     /// [`BravoPolicy::max_penalty`], never decays.
@@ -187,11 +186,6 @@ impl BravoLock {
         self as *const _ as usize
     }
 
-    #[inline]
-    fn obs_id(&self) -> u64 {
-        self.addr() as u64
-    }
-
     /// The current uncontended-slow-path streak needed to re-bias.
     fn rebias_threshold(&self) -> u64 {
         let p = self
@@ -244,7 +238,6 @@ impl BravoLock {
         // mirror-image `rbias` store + slot scan relies on.
         if self.is_biased() {
             self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
-            solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ReadAcquire));
             return Some(ReadToken::fast(slot));
         }
         // A revocation raced us between publish and re-check. Withdraw,
@@ -335,7 +328,6 @@ impl RawRwLock for BravoLock {
 
     #[inline]
     fn release_read(&self, token: ReadToken) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Release));
         match token.fast_slot() {
             Some(slot) => {
                 // SeqCst swap, then SeqCst bias load: if the load still
@@ -373,11 +365,9 @@ impl RawRwLock for BravoLock {
         }
         // A writer interrupts the streak that earns the bias back.
         self.slow_streak.store(0, Ordering::Relaxed);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
     }
 
     fn release_write(&self) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Release));
         self.underlying.release_write();
     }
 
@@ -405,7 +395,6 @@ impl RawRwLock for BravoLock {
         }
         self.stats.write_enters.fetch_add(1, Ordering::Relaxed);
         self.slow_streak.store(0, Ordering::Relaxed);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
         true
     }
 

@@ -24,7 +24,6 @@ use std::collections::HashMap;
 use std::sync::PoisonError;
 use std::time::Duration;
 
-use solero_obs::{EventKind, LockEvent};
 use solero_runtime::stats::LockStats;
 use solero_sync::atomic::{AtomicU64, Ordering};
 use solero_sync::{Condvar, Mutex};
@@ -111,12 +110,6 @@ impl JavaRwLock {
         }
     }
 
-    /// Stable lock identity for observability events.
-    #[inline]
-    fn obs_id(&self) -> u64 {
-        self as *const _ as usize as u64
-    }
-
     /// Number of active readers (diagnostics).
     pub fn reader_count(&self) -> u64 {
         self.state.word.load(Ordering::Acquire) & READERS
@@ -167,7 +160,6 @@ impl JavaRwLock {
                     // Java's AQS bookkeeping: bump this thread's hold
                     // counter for this lock.
                     self.note_read_hold();
-                    solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ReadAcquire));
                     return;
                 }
                 continue;
@@ -197,7 +189,6 @@ impl JavaRwLock {
             {
                 self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
                 self.note_read_hold();
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ReadAcquire));
                 return true;
             }
         }
@@ -205,7 +196,6 @@ impl JavaRwLock {
 
     #[inline(never)]
     fn read_unlock(&self) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Release));
         self.drop_read_hold();
         let s = &*self.state;
         let prev = s.word.fetch_sub(1, Ordering::AcqRel);
@@ -228,9 +218,6 @@ impl JavaRwLock {
                     .compare_exchange_weak(w, WRITER, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
                 {
-                    solero_obs::emit(|| {
-                        LockEvent::now(self.obs_id(), EventKind::WriteAcquire)
-                    });
                     return;
                 }
                 continue;
@@ -269,7 +256,6 @@ impl JavaRwLock {
                 .is_ok()
             {
                 self.stats.write_enters.fetch_add(1, Ordering::Relaxed);
-                solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
                 return true;
             }
         }
@@ -277,7 +263,6 @@ impl JavaRwLock {
 
     #[inline(never)]
     fn write_unlock(&self) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Release));
         let s = &*self.state;
         let prev = s.word.swap(0, Ordering::AcqRel);
         debug_assert!(prev & WRITER != 0, "write_unlock without writer");

@@ -22,7 +22,7 @@
 //! hazard the model checker's TSO mode exists to catch, covered by
 //! `crates/mc/tests/bravo_mc.rs`.
 
-use solero_obs::ring::CachePadded;
+use solero_obs::CachePadded;
 use solero_runtime::thread::ThreadId;
 use solero_sync::atomic::{AtomicUsize, Ordering};
 

@@ -16,7 +16,6 @@
 use solero_sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use solero_obs::{EventKind, LockEvent};
 use solero_runtime::osmonitor::{next_lock_gen, MonitorKey, MonitorTable, OsMonitor};
 use solero_runtime::spin::{Probe, SpinConfig};
 use solero_runtime::stats::LockStats;
@@ -148,11 +147,6 @@ impl TasukiLock {
         MonitorTable::global().existing(self.monitor_key()).is_some()
     }
 
-    #[inline]
-    fn obs_id(&self) -> u64 {
-        self.monitor_key().addr as u64
-    }
-
     /// Get-or-create resolution; only held-lock paths (inflation of a
     /// held word, wait re-entry) may call this.
     fn monitor(&self) -> std::sync::Arc<OsMonitor> {
@@ -178,13 +172,9 @@ impl TasukiLock {
                 .is_ok()
         {
             self.stats.write_fast.fetch_add(1, Ordering::Relaxed);
-            solero_obs::emit(|| {
-                LockEvent::now(self.obs_id(), EventKind::WriteAcquire)
-            });
             return;
         }
         self.slow_enter(tid);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::WriteAcquire));
     }
 
     /// Acquires the lock for a section known to be read-only.
@@ -200,13 +190,9 @@ impl TasukiLock {
                 .compare_exchange(0, ConvWord::held_by(tid).raw(), Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
         {
-            solero_obs::emit(|| {
-                LockEvent::now(self.obs_id(), EventKind::ReadAcquire)
-            });
             return;
         }
         self.slow_enter(tid);
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::ReadAcquire));
     }
 
     /// Releases one level of the lock on behalf of `tid`.
@@ -215,7 +201,6 @@ impl TasukiLock {
     ///
     /// Panics (in debug builds) if `tid` does not hold the lock.
     pub fn exit(&self, tid: ThreadId) {
-        solero_obs::emit(|| LockEvent::now(self.obs_id(), EventKind::Release));
         // Figure 2, lines 13–17.
         let v = ConvWord(self.word.load(Ordering::Relaxed));
         if v.fast_releasable() {
@@ -574,8 +559,14 @@ mod tests {
         let h = std::thread::spawn(move || {
             let _g = l2.lock(); // must park, setting FLC / inflating
         });
-        // Give the contender time to reach the monitor.
-        std::thread::sleep(Duration::from_millis(30));
+        // Hold the lock until the contender has booked its FLC wait,
+        // which it does just before parking: a timed hold can end
+        // before a contender under load gets there. Deadline-capped, so
+        // a regression fails the assert below, not the clock.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while l.stats().snapshot().flc_waits == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         drop(g);
         h.join().unwrap();
         let s = l.stats().snapshot();

@@ -6,6 +6,11 @@
 //! this to exclude JIT-compilation warm-up; we keep it to exclude OS
 //! scheduling noise); the reported score is the **average of the bests**
 //! across runs.
+//!
+//! A [`Measurement`] carries the lock counters of its measured windows;
+//! `StatsSnapshot::to_jsonl` writes them as a line of the per-lock
+//! counter export (the `obs_smoke` binary does this for the strategy
+//! fleet).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -104,28 +109,6 @@ where
         // duration would overstate them.
         measured_secs,
     }
-}
-
-/// Exports the installed observability recorder, if any: writes the
-/// JSONL trace to `path` and returns the rendered human-readable
-/// report.
-///
-/// Returns `Ok(None)` without touching `path` when no recorder is
-/// installed (the default, and always the case when `solero-obs` is
-/// built without its `trace` feature and nothing called
-/// [`solero_obs::install`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing `path`.
-pub fn export_obs(path: &std::path::Path) -> std::io::Result<Option<String>> {
-    let Some(rec) = solero_obs::recorder() else {
-        return Ok(None);
-    };
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    rec.export_jsonl(&mut out)?;
-    std::io::Write::flush(&mut out)?;
-    Ok(Some(solero_obs::report::render(&rec.snapshot())))
 }
 
 fn one_run<F>(
@@ -249,16 +232,6 @@ mod tests {
         assert!(q.window < p.window);
         assert!(q.runs <= p.runs);
         assert_eq!(q.threads, 4);
-    }
-
-    #[test]
-    fn export_obs_is_a_no_op_without_a_recorder() {
-        // No recorder is installed in this test binary, so the export
-        // returns None without even creating the file.
-        let path = std::env::temp_dir().join("solero-obs-driver-test-should-not-exist.jsonl");
-        let got = export_obs(&path).expect("no I/O happens");
-        assert!(got.is_none());
-        assert!(!path.exists());
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! methodology, reported by `reproduce latency`.
 //!
 //! The histogram itself lives in [`solero_obs::hist`] (one log2
-//! histogram for the whole workspace, identical bucketing to the JSONL
-//! observability export); this module re-exports it and layers the
-//! measurement loop plus the [`LatencyReport`] percentile summary on
-//! top.
+//! histogram for the whole workspace, shared with the open-loop
+//! driver); this module re-exports it and layers the measurement loop
+//! plus the [`LatencyReport`] percentile summary on top.
 
 use std::time::Instant;
 

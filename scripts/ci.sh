@@ -31,12 +31,11 @@ cargo test -q --offline --release -p solero-runtime --lib
 echo "== tier-1: bench targets compile behind the criterion feature =="
 cargo build -q --offline -p solero-bench --benches --features criterion
 
-echo "== tier-1: obs suite with tracing enabled =="
-cargo test -q --offline -p solero-obs --features trace
-
-echo "== tier-1: obs smoke (trace, export, schema check) =="
-cargo build -q --offline -p solero-bench --features obs-trace \
-    --bin obs_smoke --bin obs_check
+# The per-lock counter export needs no feature: obs_smoke writes the
+# fleet's measured snapshots, and obs_check reads every line back with
+# the same reader (and fails on an empty or malformed file).
+echo "== tier-1: obs smoke (counter export, read back) =="
+cargo build -q --offline -p solero-bench --bin obs_smoke --bin obs_check
 rm -f results/obs.jsonl
 ./target/debug/obs_smoke > /dev/null
 ./target/debug/obs_check results/obs.jsonl
