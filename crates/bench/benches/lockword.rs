@@ -1,14 +1,13 @@
-//! Micro-costs of the lock words and fast paths (supports Figure 10's
+//! Micro-costs of the lock word and the fast paths (supports Figure 10's
 //! interpretation: where the cycles go).
 
 use std::time::Duration;
 
 use solero_testkit::bench::{black_box, Criterion};
 use solero_testkit::{criterion_group, criterion_main};
-use solero::{Fault, SoleroLock};
+use solero::{Fault, SoleroLock, TasukiLock};
 use solero_runtime::thread::ThreadId;
-use solero_runtime::word::{CompactWord, ConvWord};
-use solero_tasuki::TasukiLock;
+use solero_runtime::word::CompactWord;
 
 fn word_ops(c: &mut Criterion) {
     let tid = ThreadId::current();
@@ -17,13 +16,6 @@ fn word_ops(c: &mut Criterion) {
         b.iter(|| {
             let w = black_box(w);
             black_box((w.is_elidable(), w.recursion(), w.tid()))
-        })
-    });
-    c.bench_function("word/conv_decode", |b| {
-        let w = ConvWord::held_by(tid).recurse();
-        b.iter(|| {
-            let w = black_box(w);
-            black_box((w.is_zero(), w.recursion(), w.tid()))
         })
     });
 }

@@ -8,10 +8,10 @@
 //! Runs the [`solero_workloads::bursty`] phase workload
 //! (quiet → burst → quiet → burst → quiet) under the adaptive SOLERO
 //! lock and the static one, and writes one JSON document with a
-//! [`PhaseReport`] per phase per strategy. The adaptive trajectory is
-//! the auto-disable/re-enable evidence: the elision rate collapses in
-//! the burst windows (policy skips replace doomed speculation) and
-//! recovers in the quiet ones.
+//! [`PhaseReport`](solero_workloads::bursty::PhaseReport) per phase per
+//! strategy. The adaptive trajectory is the auto-disable/re-enable
+//! evidence: the elision rate collapses in the burst windows (policy
+//! skips replace doomed speculation) and recovers in the quiet ones.
 //!
 //! The default seed matches `tests/adaptive_policy_stress.rs`
 //! (`SOLERO_TESTKIT_SEED` overrides it there; `--seed` here).

@@ -35,7 +35,7 @@ use solero_runtime::fault::Fault;
 use solero_runtime::osmonitor::{MonitorKey, MonitorTable};
 use solero_runtime::stats::LockStats;
 use solero_runtime::thread::ThreadId;
-use solero_runtime::word::CompactWord;
+use solero_runtime::word::{CompactWord, COMPACT_CTR_STEP};
 
 use crate::adaptive::AdaptivePolicy;
 use crate::config::SoleroConfig;
@@ -117,6 +117,7 @@ impl CompactSpace {
             word,
             key,
             policy: None,
+            step: COMPACT_CTR_STEP,
         }
     }
 
@@ -186,9 +187,11 @@ impl Drop for CompactLock {
 /// Operation handle: a compact lock word bound to its
 /// [`CompactSpace`]. Cheap to construct on every use.
 ///
-/// This is also the one implementation of the SOLERO protocol: a
+/// This is also the one implementation of the monitor protocol: a
 /// [`SoleroLock`](crate::SoleroLock) hands out a handle over its own
-/// word, space and adaptive policy and delegates every operation to it.
+/// word, space and adaptive policy and delegates every operation to it,
+/// and so does the conventional [`TasukiLock`](crate::TasukiLock), with
+/// a zero counter step.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactRef<'a> {
     pub(crate) space: &'a CompactSpace,
@@ -197,6 +200,12 @@ pub struct CompactRef<'a> {
     /// The owning lock's adaptive policy; `None` for a word bound
     /// through a shared [`CompactSpace`].
     pub(crate) policy: Option<&'a AdaptivePolicy>,
+    /// What a writing release adds to the counter: `COMPACT_CTR_STEP`
+    /// on every SOLERO handle (Figure 6), zero on a
+    /// [`TasukiLock`](crate::TasukiLock)'s (Figure 2), whose free word
+    /// therefore always reads zero. Zero also selects the conventional
+    /// writer's Figure 3 spin tiers over the contention manager.
+    pub(crate) step: u64,
 }
 
 impl<'a> CompactRef<'a> {

@@ -114,9 +114,9 @@ impl<S: SyncStrategy> DynSyncStrategy for S {
 }
 
 impl dyn DynSyncStrategy + '_ {
-    /// Typed adapter over [`write_section_dyn`]
-    /// (`DynSyncStrategy::write_section_dyn`): runs `f` as a writing
-    /// section and returns its value.
+    /// Typed adapter over
+    /// [`write_section_dyn`](DynSyncStrategy::write_section_dyn): runs
+    /// `f` as a writing section and returns its value.
     pub fn write_with<R>(&self, f: impl FnOnce() -> R) -> R {
         let mut f = Some(f);
         let mut out = None;
@@ -127,9 +127,10 @@ impl dyn DynSyncStrategy + '_ {
         out.expect("write section did not run")
     }
 
-    /// Typed adapter over [`read_section_dyn`]
-    /// (`DynSyncStrategy::read_section_dyn`): runs `f` as a read-only
-    /// section, returning the value of the last successful execution.
+    /// Typed adapter over
+    /// [`read_section_dyn`](DynSyncStrategy::read_section_dyn): runs `f`
+    /// as a read-only section, returning the value of the last
+    /// successful execution.
     ///
     /// # Errors
     ///
@@ -146,8 +147,8 @@ impl dyn DynSyncStrategy + '_ {
         Ok(out.expect("read section did not run"))
     }
 
-    /// Typed adapter over [`mostly_section_dyn`]
-    /// (`DynSyncStrategy::mostly_section_dyn`).
+    /// Typed adapter over
+    /// [`mostly_section_dyn`](DynSyncStrategy::mostly_section_dyn).
     ///
     /// # Errors
     ///
@@ -208,8 +209,8 @@ mod tests {
             assert_eq!(data.load(Ordering::Acquire), 6, "{}", s.name());
             let snap = s.snapshot();
             // How sections are counted varies by strategy (RWLock's
-            // mostly-section takes the write mode; Unelided-SOLERO's
-            // reads also count a write enter), so bound rather than pin.
+            // mostly-section takes the write mode), so bound rather than
+            // pin.
             assert!(snap.read_enters >= 1, "{}", s.name());
             assert!(snap.total_sections() >= 3, "{}", s.name());
             s.reset_stats();

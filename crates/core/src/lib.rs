@@ -39,6 +39,10 @@
 //!
 //! * [`SoleroLock`] — the lock: write paths (paper Figure 6), read-only
 //!   elision (Figures 7–9), read-mostly upgrade (Figure 17);
+//! * [`TasukiLock`] — the conventional bi-modal monitor it extends, the
+//!   paper's baseline `Lock` (Figures 2 and 3): the same protocol over
+//!   the same word with a zero counter step, so its free word is zero,
+//!   and no elided reads;
 //! * [`SoleroConfig`] / [`ElisionMode`] — the paper's ablations
 //!   (`Unelided-SOLERO`, `WeakBarrier-SOLERO`);
 //! * [`AdaptivePolicy`] / [`AdaptiveBudgets`] — per-lock adaptive
@@ -94,7 +98,7 @@ pub use adaptive::{AdaptiveBudgets, AdaptivePolicy, EntryDecision, PolicyProbe};
 pub use compact::{CompactLock, CompactRef, CompactSpace};
 pub use config::{ElisionMode, SoleroConfig, SoleroConfigBuilder};
 pub use dynstrategy::{BoxedStrategy, DynSyncStrategy};
-pub use lock::{SoleroLock, SoleroWriteGuard, WriteTicket};
+pub use lock::{SoleroLock, SoleroWriteGuard, TasukiGuard, TasukiLock, WriteTicket};
 pub use seqlock::{SeqData, SeqLock, SeqStrategy, SEQ_INLINE_WORDS};
 pub use session::{Checkpoint, MostlySession, NullCheckpoint, ReadSession, WriteIntent};
 pub use strategy::{BravoStrategy, LockStrategy, RwStrategy, SoleroStrategy, SyncStrategy};

@@ -1,5 +1,6 @@
-//! The SOLERO lock, and the write side of its protocol: acquisition,
-//! release, inflation and deflation.
+//! The SOLERO lock, the conventional lock it extends, and the write
+//! side of their one protocol: acquisition, release, inflation and
+//! deflation.
 //!
 //! The write-side fast paths follow the paper's Figure 6:
 //!
@@ -16,6 +17,12 @@
 //! [`SoleroLock`] is a word with a space of its own and delegates every
 //! operation to a handle over them. The read-side paths (Figures 7–9
 //! and the Figure 17 read-mostly extension) live in [`crate::read`].
+//!
+//! The conventional bi-modal (tasuki) lock of Figures 2 and 3, the
+//! paper's baseline `Lock`, is the same protocol with a counter step of
+//! zero: a release publishes the counter plus zero, so the word is zero
+//! whenever the lock is free, exactly as Figure 2's release stores `0`.
+//! [`TasukiLock`] builds its handle that way and elides nothing.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +34,7 @@ use solero_runtime::spin::Probe;
 use solero_runtime::stats::LockStats;
 use solero_runtime::thread::ThreadId;
 use solero_runtime::word::{
-    CompactWord, COMPACT_CTR_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP,
+    CompactWord, COMPACT_CTR_MASK, COMPACT_CTR_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP,
 };
 
 use crate::adaptive::AdaptivePolicy;
@@ -128,6 +135,7 @@ impl SoleroLock {
             word: &self.word,
             key: self.monitor_key(),
             policy: self.policy.as_ref(),
+            step: COMPACT_CTR_STEP,
         }
     }
 
@@ -259,7 +267,182 @@ impl Drop for SoleroLock {
     }
 }
 
-/// The write side of the protocol, shared by every SOLERO lock word.
+/// The conventional Java monitor lock — the paper's baseline `Lock`:
+/// mutual exclusion, reentrant, bi-modal (Figures 2 and 3).
+///
+/// It is a [`SoleroLock`] without elision and with a zero counter step:
+/// the same word, the same thin/fat protocol and the same monitor
+/// table, but a release publishes the counter plus zero, so the word
+/// reads zero whenever the lock is free, and a contended writer waits
+/// on Figure 3's spin tiers before parking. Read-only sections take the
+/// lock too ([`enter_read`](Self::enter_read)).
+///
+/// # Examples
+///
+/// ```
+/// use solero::TasukiLock;
+///
+/// let lock = TasukiLock::new();
+/// let guard = lock.lock();
+/// // ... critical section ...
+/// drop(guard);
+/// assert!(!lock.is_locked());
+/// assert_eq!(lock.raw_word().raw(), 0, "a free conventional lock reads zero");
+/// ```
+#[derive(Debug)]
+pub struct TasukiLock {
+    /// The lock word ([`CompactWord`] layout, counter held at zero).
+    word: AtomicU64,
+    /// Configuration and statistics: a space of one lock.
+    space: CompactSpace,
+    /// Process-unique generation nonce; paired with the word address to
+    /// key the monitor table, so address reuse never aliases monitors.
+    gen: u64,
+}
+
+impl Default for TasukiLock {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// RAII guard returned by [`TasukiLock::lock`].
+#[derive(Debug)]
+pub struct TasukiGuard<'a> {
+    lock: &'a TasukiLock,
+    tid: ThreadId,
+}
+
+impl Drop for TasukiGuard<'_> {
+    fn drop(&mut self) {
+        self.lock.exit(self.tid);
+    }
+}
+
+impl TasukiLock {
+    /// Creates an unlocked lock with the default spin tiers.
+    pub fn new() -> Self {
+        TasukiLock {
+            word: AtomicU64::new(CompactWord::INIT.raw()),
+            space: CompactSpace::new(),
+            gen: next_lock_gen(),
+        }
+    }
+
+    /// The protocol handle over this lock's word, key and space, with a
+    /// zero counter step.
+    #[inline]
+    fn handle(&self) -> CompactRef<'_> {
+        CompactRef {
+            space: &self.space,
+            word: &self.word,
+            key: MonitorKey::new(&self.word as *const _ as usize, self.gen),
+            policy: None,
+            step: 0,
+        }
+    }
+
+    /// Acquires the lock, returning a guard that releases it on drop.
+    pub fn lock(&self) -> TasukiGuard<'_> {
+        let tid = ThreadId::current();
+        self.enter(tid);
+        TasukiGuard { lock: self, tid }
+    }
+
+    /// Per-lock statistics counters.
+    pub fn stats(&self) -> &LockStats {
+        self.space.stats()
+    }
+
+    /// True if any thread holds the lock (thin or fat).
+    pub fn is_locked(&self) -> bool {
+        self.handle().is_locked()
+    }
+
+    /// True if the calling thread holds the lock.
+    pub fn held_by_current(&self) -> bool {
+        self.holds(ThreadId::current())
+    }
+
+    /// True if `tid` holds the lock.
+    pub fn holds(&self, tid: ThreadId) -> bool {
+        self.handle().holds(tid)
+    }
+
+    /// True if the lock is currently in fat (inflated) mode.
+    pub fn is_inflated(&self) -> bool {
+        self.handle().is_inflated()
+    }
+
+    /// The current raw word (diagnostics and tests).
+    pub fn raw_word(&self) -> CompactWord {
+        self.handle().raw_word()
+    }
+
+    /// Acquires the lock on behalf of `tid` (explicit form used by the
+    /// interpreter; prefer [`TasukiLock::lock`]).
+    pub fn enter(&self, tid: ThreadId) {
+        self.handle().acquire(tid);
+    }
+
+    /// Acquires the lock for a section known to be read-only.
+    /// Synchronization is identical to [`TasukiLock::enter`] — mutual
+    /// exclusion cannot exploit read-onlyness — only the statistics
+    /// classification differs (Table 1 read-only ratios).
+    pub fn enter_read(&self, tid: ThreadId) {
+        self.stats().read_enters.fetch_add(1, Ordering::Relaxed);
+        self.handle().acquire_uncounted(tid);
+    }
+
+    /// Releases one level of the lock on behalf of `tid`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `tid` holds the lock.
+    pub fn exit(&self, tid: ThreadId) {
+        self.handle().release(tid)
+    }
+
+    /// Java-style `Object.wait()`: releases the lock (all recursion
+    /// levels) and parks until notified, then reacquires. Inflates first
+    /// — waiting requires the OS monitor, as in the JVM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` does not hold the lock (the analogue of
+    /// `IllegalMonitorStateException`).
+    pub fn wait(&self, tid: ThreadId) {
+        self.handle().wait(tid)
+    }
+
+    /// Java-style `Object.notifyAll()`: wakes every thread waiting on
+    /// this lock. The caller must hold the lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` does not hold the lock.
+    pub fn notify_all(&self, tid: ThreadId) {
+        self.handle().notify(tid, true)
+    }
+
+    /// Java-style `Object.notify()`: wakes one waiting thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` does not hold the lock.
+    pub fn notify_one(&self, tid: ThreadId) {
+        self.handle().notify(tid, false)
+    }
+}
+
+impl Drop for TasukiLock {
+    fn drop(&mut self) {
+        self.space.detach(self.handle().key);
+    }
+}
+
+/// The write side of the protocol, shared by every lock word: SOLERO's
+/// and, with a zero step, the conventional lock's.
 impl<'a> CompactRef<'a> {
     /// The word, as loaded with `order`.
     #[inline]
@@ -310,12 +493,23 @@ impl<'a> CompactRef<'a> {
     #[inline]
     pub(crate) fn acquire(self, tid: ThreadId) {
         self.stats().write_enters.fetch_add(1, Ordering::Relaxed);
+        if self.acquire_uncounted(tid) {
+            self.stats().write_fast.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The acquisition of [`acquire`](Self::acquire) without its write
+    /// counters, for a section already booked as a read (unelided,
+    /// forfeited, or a conventional lock's read). Returns `true` if the
+    /// fast-path CAS took the lock.
+    #[inline]
+    pub(crate) fn acquire_uncounted(self, tid: ThreadId) -> bool {
         let v = self.load(Ordering::Relaxed);
         if v.is_elidable() && self.try_acquire(v, tid) {
-            self.stats().write_fast.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.slow_acquire(tid);
+            return true;
         }
+        self.slow_acquire(tid);
+        false
     }
 
     /// Acquires the lock for a read section the adaptive policy
@@ -331,8 +525,8 @@ impl<'a> CompactRef<'a> {
     /// would book an `inflation` abort and forfeit again, and readers
     /// alone would keep the lock fat and elision disabled after the
     /// writers had gone. An inflated or contended word, recursion, or a
-    /// holder that outlasts the spin tiers still goes through
-    /// [`acquire`](Self::acquire).
+    /// holder that outlasts the spin tiers still goes through the
+    /// writer's acquisition, uncounted: the section is booked as a read.
     pub(crate) fn acquire_forfeited(self, tid: ThreadId) {
         let flat = self.config().spin.run(|| {
             let v = self.load(Ordering::Acquire);
@@ -347,10 +541,8 @@ impl<'a> CompactRef<'a> {
                 Probe::Retry
             }
         });
-        if flat == Some(true) {
-            self.stats().write_enters.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.acquire(tid);
+        if flat != Some(true) {
+            self.acquire_uncounted(tid);
         }
     }
 
@@ -387,30 +579,33 @@ impl<'a> CompactRef<'a> {
                 }
                 continue;
             }
-            // Held by another thread (or FLC pending): probe under the
-            // history-keyed contention manager (arXiv 1305.5800 — a
-            // contended CAS convoy is exactly where the naive fixed
-            // spin collapsed), then park. This is also the path the
-            // retry-exhausted read fallback takes, so fallback storms
-            // back off instead of stampeding the word.
-            let spun = self.config().contention.run_observed(
-                || {
-                    let v = self.load(Ordering::Acquire);
-                    if v.is_elidable() {
-                        if self.try_acquire(v, tid) {
-                            return Probe::Done(true);
-                        }
-                    } else if v.needs_monitor() {
-                        return Probe::Done(false);
+            // Held by another thread (or FLC pending): probe, then
+            // park. The conventional lock probes on Figure 3's tiers. A
+            // SOLERO writer probes under the history-keyed contention
+            // manager (arXiv 1305.5800 — a contended CAS convoy is
+            // exactly where the naive fixed spin collapsed); this is
+            // also the path the retry-exhausted read fallback takes, so
+            // fallback storms back off instead of stampeding the word.
+            let probe = || {
+                let v = self.load(Ordering::Acquire);
+                if v.is_elidable() {
+                    if self.try_acquire(v, tid) {
+                        return Probe::Done(true);
                     }
-                    Probe::Retry
-                },
-                |_| {
+                } else if v.needs_monitor() {
+                    return Probe::Done(false);
+                }
+                Probe::Retry
+            };
+            let spun = if self.step == 0 {
+                self.config().spin.run(probe)
+            } else {
+                self.config().contention.run_observed(probe, |_| {
                     self.stats()
                         .contention_backoffs
                         .fetch_add(1, Ordering::Relaxed);
-                },
-            );
+                })
+            };
             if spun == Some(true) || self.enter_via_monitor(tid) {
                 return;
             }
@@ -457,7 +652,7 @@ impl<'a> CompactRef<'a> {
     /// free inflates the lock and owns it (fat). The displaced counter
     /// stored in the monitor is the pre-inflation counter plus one step,
     /// so a later deflation publishes a value no speculative reader can
-    /// still match.
+    /// still match (plus zero, for the conventional lock).
     ///
     /// Returns `false` if the binding went stale (the lock deflated and
     /// pruned the entry we resolved); the caller retries from the word.
@@ -502,7 +697,7 @@ impl<'a> CompactRef<'a> {
                     )
                     .is_ok()
                 {
-                    m.set_displaced(v.release_word().raw());
+                    m.set_displaced(self.released(v));
                     self.stats().inflations.fetch_add(1, Ordering::Relaxed);
                     self.stats().monitor_enters.fetch_add(1, Ordering::Relaxed);
                     return true;
@@ -538,7 +733,7 @@ impl<'a> CompactRef<'a> {
         for _ in 0..v.recursion() {
             m.enter(tid);
         }
-        m.set_displaced(v.release_word().raw());
+        m.set_displaced(self.released(v));
         self.word
             .store(CompactWord::inflated(m.id()).raw(), Ordering::Release);
         self.stats().inflations.fetch_add(1, Ordering::Relaxed);
@@ -554,7 +749,7 @@ impl<'a> CompactRef<'a> {
                 .monitor_existing()
                 .expect("fat owner's monitor must be tabled");
             debug_assert!(m.owned_by(tid), "fat release by non-owner");
-            m.bump_displaced(COMPACT_CTR_STEP);
+            m.bump_displaced(self.step);
             self.exit_fat(tid);
             return;
         }
@@ -602,9 +797,18 @@ impl<'a> CompactRef<'a> {
     fn release_word(self, held: CompactWord) -> u64 {
         #[cfg(solero_mc)]
         if crate::mutation::active() == crate::mutation::STUCK_COUNTER {
-            return held.raw() & solero_runtime::word::COMPACT_CTR_MASK;
+            return held.raw() & COMPACT_CTR_MASK;
         }
-        held.release_word().raw()
+        self.released(held)
+    }
+
+    /// The free word that follows the thin word `held`: its counter plus
+    /// this handle's step, owner and flag bits dropped. With a zero step
+    /// (the conventional lock, whose counter never moves) that is zero.
+    #[inline]
+    fn released(self, held: CompactWord) -> u64 {
+        debug_assert!(!held.is_inflated());
+        (held.raw() & COMPACT_CTR_MASK).wrapping_add(self.step)
     }
 
     /// Final fat release: deflates when the monitor is uncontended —
@@ -815,6 +1019,154 @@ mod tests {
             let c = l.raw_word().counter().unwrap();
             assert!(c > last);
             last = c;
+        }
+    }
+
+    /// The conventional lock: the same protocol with a zero step.
+    mod tasuki {
+        use super::*;
+        use std::sync::Arc;
+
+        #[test]
+        fn uncontended_lock_unlock() {
+            let l = TasukiLock::new();
+            assert!(!l.is_locked());
+            {
+                let _g = l.lock();
+                assert!(l.is_locked());
+                assert!(l.held_by_current());
+            }
+            assert!(!l.is_locked());
+            let s = l.stats().snapshot();
+            assert_eq!(s.write_enters, 1);
+            assert_eq!(s.write_fast, 1);
+        }
+
+        #[test]
+        fn reentrant_guards_nest() {
+            let l = TasukiLock::new();
+            let g1 = l.lock();
+            let g2 = l.lock();
+            let g3 = l.lock();
+            assert_eq!(l.raw_word().recursion(), 2);
+            drop(g3);
+            drop(g2);
+            assert!(l.is_locked());
+            drop(g1);
+            assert!(!l.is_locked());
+            assert_eq!(l.stats().snapshot().recursive_enters, 2);
+        }
+
+        #[test]
+        fn deep_recursion_inflates_and_recovers() {
+            let l = TasukiLock::new();
+            let tid = ThreadId::current();
+            let depth = (SOLERO_RECURSION_MAX + 5) as usize;
+            for _ in 0..=depth {
+                l.enter(tid);
+            }
+            assert!(l.is_inflated(), "saturated recursion must inflate");
+            assert!(l.holds(tid));
+            for _ in 0..=depth {
+                l.exit(tid);
+            }
+            assert!(!l.is_locked());
+            assert!(!l.is_inflated(), "uncontended fat lock deflates");
+            assert!(l.stats().snapshot().inflations >= 1);
+            assert!(l.stats().snapshot().deflations >= 1);
+        }
+
+        #[test]
+        fn mutual_exclusion_under_contention() {
+            let l = Arc::new(TasukiLock::new());
+            let counter = Arc::new(AtomicU32::new(0));
+            const THREADS: usize = 8;
+            const ITERS: u32 = 2_000;
+            let mut handles = Vec::new();
+            for _ in 0..THREADS {
+                let l = Arc::clone(&l);
+                let c = Arc::clone(&counter);
+                handles.push(std::thread::spawn(move || {
+                    for _ in 0..ITERS {
+                        let _g = l.lock();
+                        // Non-atomic read-modify-write protected by the lock.
+                        let v = c.load(Ordering::Relaxed);
+                        std::hint::black_box(v);
+                        c.store(v + 1, Ordering::Relaxed);
+                    }
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(counter.load(Ordering::Relaxed), THREADS as u32 * ITERS);
+        }
+
+        #[test]
+        fn contention_inflates_then_deflates() {
+            let l = Arc::new(TasukiLock::new());
+            let l2 = Arc::clone(&l);
+            let g = l.lock();
+            let h = std::thread::spawn(move || {
+                let _g = l2.lock(); // must park, setting FLC / inflating
+            });
+            // Hold the lock until the contender has booked its FLC wait,
+            // which it does just before parking: a timed hold can end
+            // before a contender under load gets there. Deadline-capped,
+            // so a regression fails the assert below, not the clock.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while l.stats().snapshot().flc_waits == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            drop(g);
+            h.join().unwrap();
+            let s = l.stats().snapshot();
+            assert!(
+                s.flc_waits >= 1 || s.inflations >= 1,
+                "contender should have used the monitor path: {s}"
+            );
+            // After all contention ends the next cycle leaves the lock thin.
+            drop(l.lock());
+            assert!(!l.is_inflated());
+        }
+
+        #[test]
+        fn holds_is_per_thread() {
+            let l = Arc::new(TasukiLock::new());
+            let g = l.lock();
+            let l2 = Arc::clone(&l);
+            std::thread::spawn(move || {
+                assert!(l2.is_locked());
+                assert!(!l2.held_by_current());
+            })
+            .join()
+            .unwrap();
+            drop(g);
+        }
+
+        #[test]
+        fn free_word_is_zero() {
+            let l = TasukiLock::new();
+            let tid = ThreadId::current();
+            drop(l.lock());
+            assert_eq!(l.raw_word(), CompactWord::INIT, "after a flat release");
+            for _ in 0..3 {
+                l.enter(tid);
+            }
+            for _ in 0..3 {
+                l.exit(tid);
+            }
+            assert_eq!(l.raw_word(), CompactWord::INIT, "after nested recursion");
+            let depth = (SOLERO_RECURSION_MAX + 1) as usize;
+            for _ in 0..=depth {
+                l.enter(tid);
+            }
+            assert!(l.is_inflated());
+            for _ in 0..=depth {
+                l.exit(tid);
+            }
+            assert!(!l.is_inflated());
+            assert_eq!(l.raw_word(), CompactWord::INIT, "after inflate/deflate");
         }
     }
 }

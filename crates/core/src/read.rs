@@ -538,13 +538,15 @@ impl<'a> LockWord<'a> for CompactRef<'a> {
         0
     }
 
-    /// Unelided-SOLERO acquires as a writer; a forfeited section goes
-    /// through [`acquire_forfeited`](CompactRef::acquire_forfeited).
+    /// Unelided-SOLERO acquires as a writer does, but books no write
+    /// entry: `read_section` already booked the section as a read. A
+    /// forfeited section goes through
+    /// [`acquire_forfeited`](CompactRef::acquire_forfeited).
     fn acquire_unelided(self, tid: ThreadId, forfeited: bool) -> u64 {
         if forfeited {
             self.acquire_forfeited(tid);
         } else {
-            self.acquire(tid);
+            self.acquire_uncounted(tid);
         }
         0
     }
@@ -593,6 +595,27 @@ mod tests {
         .unwrap();
         assert_eq!(l.raw_word().counter().unwrap(), before + 1);
         assert_eq!(l.stats().snapshot().elision_success, 0);
+    }
+
+    #[test]
+    fn forfeited_section_is_booked_once_as_a_read() {
+        let l = SoleroLock::with_config(
+            SoleroConfig::builder()
+                .adaptive_budgets(crate::adaptive::AdaptiveBudgets::minimal())
+                .build(),
+        );
+        assert!(l.policy().unwrap().on_abort(AbortReason::LockedAtEntry));
+        l.read_only(|s| {
+            assert!(!s.is_speculative(), "a forfeited section holds the lock");
+            Ok::<_, Fault>(())
+        })
+        .unwrap();
+        let s = l.stats().snapshot();
+        assert_eq!(
+            (s.read_enters, s.policy_skips, s.write_enters),
+            (1, 1, 0),
+            "{s}"
+        );
     }
 
     #[test]

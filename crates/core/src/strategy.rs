@@ -17,10 +17,9 @@ use solero_runtime::fault::Fault;
 use solero_runtime::stats::StatsSnapshot;
 use solero_runtime::thread::ThreadId;
 use solero_rwlock::{BravoLock, RawRwLock};
-use solero_tasuki::TasukiLock;
 
 use crate::config::SoleroConfig;
-use crate::lock::SoleroLock;
+use crate::lock::{SoleroLock, TasukiLock};
 use crate::session::{NullCheckpoint, WriteIntent};
 
 /// A synchronization strategy for critical sections.
@@ -206,19 +205,22 @@ impl<L: RawRwLock> SyncStrategy for RwStrategy<L> {
 
 /// SOLERO — the paper's contribution, including its `Unelided` and
 /// `WeakBarrier` ablation configurations.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SoleroStrategy {
     lock: SoleroLock,
     label: &'static str,
 }
 
+impl Default for SoleroStrategy {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SoleroStrategy {
     /// The paper's default configuration.
     pub fn new() -> Self {
-        SoleroStrategy {
-            lock: SoleroLock::new(),
-            label: "SOLERO",
-        }
+        Self::configured(SoleroConfig::default())
     }
 
     /// A strategy from a built [`SoleroConfig`], deriving the display
@@ -243,11 +245,6 @@ impl SoleroStrategy {
         } else {
             "SOLERO"
         };
-        Self::with_config(config, label)
-    }
-
-    /// A strategy with explicit configuration and display label.
-    pub fn with_config(config: SoleroConfig, label: &'static str) -> Self {
         SoleroStrategy {
             lock: SoleroLock::with_config(config),
             label,
@@ -262,11 +259,7 @@ impl SoleroStrategy {
 
 impl SyncStrategy for SoleroStrategy {
     fn name(&self) -> &'static str {
-        if self.label.is_empty() {
-            "SOLERO"
-        } else {
-            self.label
-        }
+        self.label
     }
 
     fn write_section<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -351,10 +344,11 @@ mod tests {
     #[test]
     fn read_ratio_is_strategy_independent() {
         for run in 0..3 {
-            let (lock, rw, so) = (
+            let (lock, rw, so, un) = (
                 LockStrategy::new(),
                 BravoStrategy::new(),
                 SoleroStrategy::new(),
+                SoleroStrategy::configured(SoleroConfig::builder().unelided(true).build()),
             );
             fn mix<S: SyncStrategy>(s: &S) -> f64 {
                 for i in 0..100 {
@@ -366,10 +360,12 @@ mod tests {
                 }
                 s.snapshot().read_only_ratio()
             }
-            let (a, b, c) = (mix(&lock), mix(&rw), mix(&so));
+            let (a, b, c, d) = (mix(&lock), mix(&rw), mix(&so), mix(&un));
             assert!((a - 0.9).abs() < 1e-12, "run {run}: lock ratio {a}");
             assert!((b - 0.9).abs() < 1e-12, "run {run}: rw ratio {b}");
             assert!((c - 0.9).abs() < 1e-12, "run {run}: solero ratio {c}");
+            // An unelided read runs under the lock but is still one read.
+            assert!((d - 0.9).abs() < 1e-12, "run {run}: unelided ratio {d}");
         }
     }
 

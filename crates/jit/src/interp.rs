@@ -21,10 +21,9 @@
 
 use std::sync::Arc;
 
-use solero::{Fault, NullCheckpoint, SoleroLock, WriteIntent};
+use solero::{Fault, NullCheckpoint, SoleroLock, TasukiLock, WriteIntent};
 use solero_heap::{Heap, ObjRef};
 use solero_runtime::thread::ThreadId;
-use solero_tasuki::TasukiLock;
 
 use crate::ir::{BinOp, Inst, MethodId, Point, Program, Terminator};
 use crate::lower::{LockPlan, PlannedRegion, ProgramPlan};

@@ -5,12 +5,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use solero::{Fault, SoleroLock};
+use solero::{Fault, SoleroLock, TasukiLock};
 use solero_heap::{ClassId, Heap};
 use solero_jit::builder::MethodBuilder;
 use solero_jit::interp::{Interpreter, RuntimeLock};
 use solero_jit::ir::{BinOp, Cmp, Program};
-use solero_tasuki::TasukiLock;
 
 const CELL: ClassId = ClassId::new(1); // [value]
 const PAIR: ClassId = ClassId::new(2); // [a, b]

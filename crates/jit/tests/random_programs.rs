@@ -8,14 +8,13 @@
 
 use std::sync::Arc;
 
-use solero::SoleroLock;
+use solero::{SoleroLock, TasukiLock};
 use solero_heap::{ClassId, Heap};
 use solero_jit::analysis::{classify_method, RegionClass};
 use solero_jit::builder::MethodBuilder;
 use solero_jit::interp::{Interpreter, RuntimeLock};
 use solero_jit::ir::{BinOp, Cmp, Program};
 use solero_jit::verify::verify_program;
-use solero_tasuki::TasukiLock;
 use solero_testkit::{forall, Gen, TestRng};
 
 /// Object layout used by generated programs: 4 data fields.

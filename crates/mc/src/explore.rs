@@ -2,7 +2,7 @@
 //!
 //! Everything here is pure bookkeeping over [`Decision`] values and is
 //! compiled (and unit-tested) in every build; only the driver that
-//! actually runs executions ([`crate::Checker`]) needs the
+//! actually runs executions (`crate::Checker`) needs the
 //! `--cfg solero_mc` runtime.
 //!
 //! The exhaustive mode is a stateless DFS over schedule prefixes with

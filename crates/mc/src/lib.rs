@@ -1,7 +1,8 @@
 //! # solero-mc — deterministic model checker for the elision protocol
 //!
 //! Exhaustively (or randomly, seeded) explores thread interleavings of
-//! small SOLERO / tasuki / rwlock scenarios. Scenarios run on the
+//! small SOLERO / tasuki / rwlock scenarios (the tasuki baseline runs
+//! the SOLERO protocol itself, with a zero counter step). Scenarios run on the
 //! cooperative virtual-thread scheduler in `solero-sync::rt`, which is
 //! only compiled under `--cfg solero_mc`; in that configuration the
 //! `solero-sync` facade routes every atomic and mutex/condvar
@@ -17,7 +18,7 @@
 //!
 //! A violation prints a dot-separated *trace string* (for example
 //! `1.0.3.2`) recording every nondeterministic choice. Feed it back
-//! through [`Checker::replay`] to re-execute that exact schedule —
+//! through `Checker::replay` to re-execute that exact schedule —
 //! same assertion, same failure, every time.
 //!
 //! The exploration strategies themselves ([`explore`]) are plain data

@@ -272,12 +272,15 @@ fn inflation_loses_no_thread() {
 
 /// Tasuki baseline: write sections are mutually exclusive. The
 /// load-then-store increment below is exactly the smoke-test race, now
-/// protected by the lock under check.
+/// protected by the lock under check. The lock runs the SOLERO protocol
+/// with a zero counter step, so on every schedule — FLC and inflation
+/// included — the word it leaves behind is zero.
 #[test]
 fn tasuki_write_sections_exclude() {
+    use solero::TasukiLock;
     use solero_runtime::thread::ThreadId;
+    use solero_runtime::word::CompactWord;
     use solero_sync::atomic::{AtomicU64, Ordering};
-    use solero_tasuki::TasukiLock;
 
     let stats = Checker::exhaustive()
         .check("tasuki_exclusion", || {
@@ -300,6 +303,11 @@ fn tasuki_write_sections_exclude() {
             }
             assert!(!lock.is_locked());
             assert_eq!(c.load(Ordering::SeqCst), 2, "lost update under tasuki");
+            assert_eq!(
+                lock.raw_word(),
+                CompactWord::INIT,
+                "a free tasuki word is zero"
+            );
         })
         .expect("tasuki write sections are mutually exclusive");
     assert!(

@@ -15,7 +15,7 @@
 //! decay the history so quiet locks return to cheap immediate probing.
 //!
 //! Determinism: the jitter stream is derived from the runtime
-//! [`ThreadId`](crate::thread::ThreadId) — no wall clock, no OS
+//! [`ThreadId`] — no wall clock, no OS
 //! entropy — so a pinned-seed stress schedule replays the identical
 //! back-off sequence, the same constraint that shaped BRAVO's
 //! counter-based re-bias policy. Under `--cfg solero_mc` the waits are

@@ -199,7 +199,7 @@ impl EventPoll {
     ///
     /// The countdown is tested *before* it is decremented, so no state
     /// — not even `countdown == 0` — can wrap the `u32`: any exhausted
-    /// countdown lands in [`EventPoll::slow_poll`], which re-arms it to
+    /// countdown lands in `EventPoll::slow_poll`, which re-arms it to
     /// a full batch.
     #[inline]
     pub fn should_validate(&mut self) -> bool {

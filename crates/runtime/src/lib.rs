@@ -3,10 +3,10 @@
 //! This crate provides the JVM-runtime machinery that both the
 //! conventional (tasuki) lock and SOLERO are built on:
 //!
-//! * [`word`] — the flat-lock word layouts: Figure 1 for the tasuki
-//!   baseline, and the compact SOLERO word whose counter rides inside
-//!   the held word;
-//! * [`thread`] — non-zero thread ids (20 bits in a SOLERO word);
+//! * [`word`] — the one flat-lock word layout, the compact SOLERO word
+//!   whose counter rides inside the held word (the conventional lock
+//!   holds that counter at zero);
+//! * [`thread`] — non-zero thread ids (20 bits in a lock word);
 //! * [`spin`] — the three-tier contention loops of Figure 3;
 //! * [`contention`] — the history-keyed back-off contention manager
 //!   (arXiv 1305.5800) behind the slow write / fallback probes;

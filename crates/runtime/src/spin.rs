@@ -8,8 +8,11 @@
 //!
 //! When every tier is exhausted the caller escalates (inflates the lock).
 //! The probe is a closure so the same skeleton serves the conventional
-//! lock (Figure 3), the SOLERO write path, and the SOLERO slow read entry
-//! (Figure 8), each of which exits the loops for different word states.
+//! lock's contended writer (Figure 3) and the read-side waits — the
+//! SOLERO slow read entry (Figure 8) and a forfeited read section — each
+//! of which exits the loops for different word states. A contended
+//! SOLERO writer probes under the history-keyed contention manager
+//! ([`crate::contention`]) instead.
 //!
 //! The tier-1 busy-wait runs only *between* probes: after the final
 //! probe of a tier-2 round the next action is a yield (or escalation),

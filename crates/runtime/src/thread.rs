@@ -5,18 +5,19 @@
 //! tid field. The JVM hands out such ids at thread start; we do the
 //! same with a process-global registry and a thread-local cache.
 //!
-//! Two fields bound the id space. The tasuki baseline's
-//! [`ConvWord`](crate::word::ConvWord) has the 56-bit upper field, which
-//! is what [`ThreadId::allocate`] enforces. A SOLERO lock's
-//! [`CompactWord`](crate::word::CompactWord) holds only 20 bits
+//! Two bounds apply. [`ThreadId::allocate`] and [`ThreadId::from_raw`]
+//! accept any id that fits the word's 56-bit upper field
+//! ([`FIELD_MAX`]), the width a monitor id has.
+//! Every lock word, the conventional lock's included, holds its owner
+//! in a 20-bit tid field
 //! ([`COMPACT_TID_MAX`](crate::word::COMPACT_TID_MAX) = 1 048 575), and
 //! [`CompactWord::held_by`](crate::word::CompactWord::held_by) asserts
 //! that bound in every build profile. Ids are never recycled, so a
 //! process that starts more than about a million threads over its
-//! lifetime and then takes a SOLERO lock panics there. The model
-//! checker comes closest: it runs every execution on fresh OS threads.
-//! Run uncapped with one test thread, each of the nine mc test binaries
-//! that build SOLERO locks stays below 2^19 = 524 288 ids (the heaviest,
+//! lifetime and then takes a lock panics there. The model checker
+//! comes closest: it runs every execution on fresh OS threads. Run
+//! uncapped with one test thread, each of the nine mc test binaries
+//! that build locks stays below 2^19 = 524 288 ids (the heaviest,
 //! `compact_mc`, passes 458 752), so the 20-bit field has about 2×
 //! headroom.
 
@@ -24,10 +25,10 @@ use core::fmt;
 use core::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::word::{FIELD_MAX, FIELD_SHIFT};
+use crate::word::FIELD_MAX;
 
-/// A non-zero thread id that fits the tasuki word's 56-bit field; a
-/// SOLERO lock word holds ids up to 2^20 − 1 (see the module docs).
+/// A non-zero thread id that fits the word's 56-bit upper field; a
+/// lock word holds owners up to 2^20 − 1 (see the module docs).
 ///
 /// # Examples
 ///
@@ -83,12 +84,6 @@ impl ThreadId {
     pub fn as_u64(self) -> u64 {
         self.0.get()
     }
-
-    /// The id positioned in the lock word's upper field (`id << 8`).
-    #[inline]
-    pub fn field_bits(self) -> u64 {
-        self.0.get() << FIELD_SHIFT
-    }
 }
 
 impl fmt::Debug for ThreadId {
@@ -135,12 +130,5 @@ mod tests {
         assert!(ThreadId::from_raw(0).is_none());
         assert!(ThreadId::from_raw(FIELD_MAX + 1).is_none());
         assert_eq!(ThreadId::from_raw(FIELD_MAX).unwrap().as_u64(), FIELD_MAX);
-    }
-
-    #[test]
-    fn field_bits_leaves_low_byte_clear() {
-        let id = ThreadId::from_raw(0xabcd).unwrap();
-        assert_eq!(id.field_bits() & 0xff, 0);
-        assert_eq!(id.field_bits() >> FIELD_SHIFT, 0xabcd);
     }
 }

@@ -1,32 +1,31 @@
-//! Lock-word layouts.
+//! The lock-word layout.
 //!
-//! The paper uses two flat-lock word layouts (its Figures 1 and 5), both
-//! 64 bits wide in the evaluated JVM:
+//! The paper draws two 64-bit flat-lock words: the conventional
+//! (tasuki) word of its Figure 1 and SOLERO's word of its Figure 5,
+//! whose low byte every lock here keeps:
 //!
 //! ```text
-//! Conventional (tasuki) flat lock            SOLERO flat lock
-//! ┌──────────────┬──────────┬───┬───┐        ┌──────────────┬─────────┬───┬───┬───┐
-//! │ tid (56)     │ rec (6)  │FLC│INF│        │ ctr/tid (56) │ rec (5) │LCK│FLC│INF│
-//! └──────────────┴──────────┴───┴───┘        └──────────────┴─────────┴───┴───┴───┘
-//!  63           8 7        2  1   0           63           8 7       3  2   1   0
+//! SOLERO flat lock (Figure 5)
+//! ┌──────────────┬─────────┬───┬───┬───┐
+//! │ ctr/tid (56) │ rec (5) │LCK│FLC│INF│
+//! └──────────────┴─────────┴───┴───┴───┘
+//!  63           8 7       3  2   1   0
 //! ```
 //!
 //! * `INF` — inflation bit: the word holds a fat-lock (OS monitor) id.
 //! * `FLC` — flat-lock-contention bit: a contender is waiting on the
 //!   monitor for the flat lock to be released.
-//! * `LCK` — (SOLERO only) the lock bit: the flat lock is held and the
-//!   upper field is a thread id; when clear **and** `FLC`/`INF` are clear
-//!   the upper field is the sequence counter.
+//! * `LCK` — the lock bit: the flat lock is held and the upper field
+//!   holds the owner's thread id; when clear **and** `FLC`/`INF` are
+//!   clear the upper field is the sequence counter.
 //! * `rec` — recursion count of the flat-lock owner.
 //!
-//! [`ConvWord`] implements Figure 1 for the tasuki baseline. SOLERO
-//! locks keep Figure 5's low byte but not its upper field: there the
-//! counter and the owner's id share one field, so the acquiring CAS
-//! overwrites the counter and the owner must carry it elsewhere (the
-//! paper's *local lock variable*) until release, or until inflation
-//! needs it. [`CompactWord`] adopts the Compact Java Monitors header
-//! (Dice & Kogan, arXiv 2102.04188) instead: the counter and thread-id
-//! fields coexist, so the word is self-contained across every
+//! In Figure 5 the counter and the owner's id share one field, so the
+//! acquiring CAS overwrites the counter and the owner must carry it
+//! elsewhere (the paper's *local lock variable*) until release, or until
+//! inflation needs it. [`CompactWord`] adopts the Compact Java Monitors
+//! header (Dice & Kogan, arXiv 2102.04188) instead: the counter and
+//! thread-id fields coexist, so the word is self-contained across every
 //! transition:
 //!
 //! ```text
@@ -44,8 +43,13 @@
 //! contended/wait-set state lives in the global hashed
 //! [`MonitorTable`](crate::osmonitor::MonitorTable).
 //!
-//! Both newtypes wrap raw `u64` values and are deliberately `Copy`
-//! value types — the atomic cell holding a word lives in the lock
+//! This one layout serves both of the paper's locks. The conventional
+//! lock is this word with its counter held at zero: its releases add
+//! nothing to the counter, so its word reads zero whenever it is free,
+//! as Figure 1's does.
+//!
+//! [`CompactWord`] wraps a raw `u64` and is deliberately a `Copy` value
+//! type — the atomic cell holding a word lives in the lock
 //! implementations.
 
 use core::fmt;
@@ -56,7 +60,7 @@ use crate::thread::ThreadId;
 pub const INFLATION_BIT: u64 = 0x1;
 /// Bit 1: contention was detected on the flat lock.
 pub const FLC_BIT: u64 = 0x2;
-/// Bit 2 (SOLERO): the flat lock is held.
+/// Bit 2: the flat lock is held.
 pub const LOCK_BIT: u64 = 0x4;
 
 /// Shift of the upper field (thread id or monitor id).
@@ -66,13 +70,6 @@ pub const FIELD_BITS: u32 = 64 - FIELD_SHIFT;
 /// Maximum value representable in the upper (thread-id / monitor-id)
 /// field.
 pub const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
-
-/// Conventional layout: recursion occupies bits 2..=7, step `0x4`.
-pub const CONV_RECURSION_STEP: u64 = 0x4;
-/// Conventional recursion mask (six bits).
-pub const CONV_RECURSION_MASK: u64 = 0xfc;
-/// Maximum conventional recursion depth before the count saturates.
-pub const CONV_RECURSION_MAX: u64 = CONV_RECURSION_MASK / CONV_RECURSION_STEP;
 
 /// SOLERO layout: recursion occupies bits 3..=7, step `0x8`.
 pub const SOLERO_RECURSION_STEP: u64 = 0x8;
@@ -85,190 +82,6 @@ pub const SOLERO_RECURSION_MAX: u64 = SOLERO_RECURSION_MASK / SOLERO_RECURSION_S
 pub const SOLERO_FAST_MASK: u64 = INFLATION_BIT | FLC_BIT | LOCK_BIT;
 /// Mask of all low (non-field) bits (`v & 0xff`).
 pub const LOW_MASK: u64 = 0xff;
-
-/// A conventional (tasuki) flat-lock word — the paper's Figure 1.
-///
-/// The word is zero when the lock is free. While held it contains the
-/// owner's thread id in the upper field plus a recursion count; while
-/// inflated it contains a monitor id and the inflation bit.
-///
-/// # Examples
-///
-/// ```
-/// use solero_runtime::word::ConvWord;
-/// use solero_runtime::thread::ThreadId;
-///
-/// let tid = ThreadId::from_raw(7).unwrap();
-/// let held = ConvWord::held_by(tid);
-/// assert!(held.is_held_flat());
-/// assert_eq!(held.tid(), Some(tid));
-/// assert_eq!(held.recursion(), 0);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct ConvWord(pub u64);
-
-impl ConvWord {
-    /// The free (zero) word.
-    pub const FREE: ConvWord = ConvWord(0);
-
-    /// Word representing a first (non-recursive) acquisition by `tid`.
-    #[inline]
-    pub fn held_by(tid: ThreadId) -> Self {
-        ConvWord(tid.field_bits())
-    }
-
-    /// Word representing inflation to monitor `monitor_id`.
-    #[inline]
-    pub fn inflated(monitor_id: u64) -> Self {
-        debug_assert!(monitor_id <= FIELD_MAX);
-        ConvWord((monitor_id << FIELD_SHIFT) | INFLATION_BIT)
-    }
-
-    /// Raw value.
-    #[inline]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// True if the word is exactly zero (free, no FLC pending).
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// True if the inflation bit is set.
-    #[inline]
-    pub fn is_inflated(self) -> bool {
-        self.0 & INFLATION_BIT != 0
-    }
-
-    /// True if the FLC (flat-lock contention) bit is set.
-    #[inline]
-    pub fn has_flc(self) -> bool {
-        self.0 & FLC_BIT != 0
-    }
-
-    /// True if the flat lock is held by some thread (not inflated, tid set).
-    #[inline]
-    pub fn is_held_flat(self) -> bool {
-        !self.is_inflated() && (self.0 >> FIELD_SHIFT) != 0
-    }
-
-    /// The owner thread id, if held flat.
-    #[inline]
-    pub fn tid(self) -> Option<ThreadId> {
-        if self.is_held_flat() {
-            ThreadId::from_raw(self.0 >> FIELD_SHIFT)
-        } else {
-            None
-        }
-    }
-
-    /// Monitor id, if inflated.
-    #[inline]
-    pub fn monitor_id(self) -> Option<u64> {
-        if self.is_inflated() {
-            Some(self.0 >> FIELD_SHIFT)
-        } else {
-            None
-        }
-    }
-
-    /// Recursion count of the flat owner.
-    #[inline]
-    pub fn recursion(self) -> u64 {
-        (self.0 & CONV_RECURSION_MASK) / CONV_RECURSION_STEP
-    }
-
-    /// Word with the recursion count incremented by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in every build profile) if the count is already at
-    /// [`CONV_RECURSION_MAX`]: one more step would carry into the
-    /// tid/monitor-id field and silently corrupt the word. The lock
-    /// implementations inflate before saturation, so a panic here means
-    /// a caller bypassed that contract.
-    #[inline]
-    pub fn recurse(self) -> Self {
-        assert!(
-            self.recursion() < CONV_RECURSION_MAX,
-            "ConvWord recursion overflow: depth {} would carry into the tid field",
-            self.recursion()
-        );
-        ConvWord(self.0 + CONV_RECURSION_STEP)
-    }
-
-    /// Word with the recursion count decremented by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in every build profile) if the count is already zero:
-    /// the decrement would borrow out of the recursion bits.
-    #[inline]
-    pub fn unrecurse(self) -> Self {
-        assert!(
-            self.recursion() > 0,
-            "ConvWord recursion underflow: unrecurse on a non-recursed word"
-        );
-        ConvWord(self.0 - CONV_RECURSION_STEP)
-    }
-
-    /// Word with the FLC bit set.
-    #[inline]
-    pub fn with_flc(self) -> Self {
-        ConvWord(self.0 | FLC_BIT)
-    }
-
-    /// Word with the FLC bit cleared.
-    #[inline]
-    pub fn without_flc(self) -> Self {
-        ConvWord(self.0 & !FLC_BIT)
-    }
-
-    /// True if the fast-path release test passes (`(w & 0xff) == 0`):
-    /// not inflated, no contention flag, recursion zero.
-    #[inline]
-    pub fn fast_releasable(self) -> bool {
-        self.0 & LOW_MASK == 0
-    }
-}
-
-impl fmt::Debug for ConvWord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConvWord")
-            .field("raw", &format_args!("{:#x}", self.0))
-            .field("inflated", &self.is_inflated())
-            .field("flc", &self.has_flc())
-            .field("recursion", &self.recursion())
-            .field("field", &(self.0 >> FIELD_SHIFT))
-            .finish()
-    }
-}
-
-impl fmt::Display for ConvWord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_inflated() {
-            write!(f, "inflated(monitor={})", self.0 >> FIELD_SHIFT)
-        } else if self.is_held_flat() {
-            write!(
-                f,
-                "flat(tid={}, rec={}{})",
-                self.0 >> FIELD_SHIFT,
-                self.recursion(),
-                if self.has_flc() { ", flc" } else { "" }
-            )
-        } else {
-            write!(f, "free{}", if self.has_flc() { "(flc)" } else { "" })
-        }
-    }
-}
-
-impl fmt::LowerHex for ConvWord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
-    }
-}
 
 /// Shift of the compact counter field (bits 28..=63).
 pub const COMPACT_CTR_SHIFT: u32 = 28;
@@ -555,98 +368,6 @@ mod tests {
 
     fn tid(n: u64) -> ThreadId {
         ThreadId::from_raw(n).unwrap()
-    }
-
-    #[test]
-    fn conv_free_is_zero() {
-        assert!(ConvWord::FREE.is_zero());
-        assert!(!ConvWord::FREE.is_inflated());
-        assert!(!ConvWord::FREE.is_held_flat());
-        assert!(ConvWord::FREE.fast_releasable());
-        assert_eq!(ConvWord::FREE.tid(), None);
-    }
-
-    #[test]
-    fn conv_held_roundtrip() {
-        let w = ConvWord::held_by(tid(123));
-        assert!(w.is_held_flat());
-        assert_eq!(w.tid(), Some(tid(123)));
-        assert_eq!(w.recursion(), 0);
-        assert!(w.fast_releasable() == false || w.0 & LOW_MASK == 0);
-    }
-
-    #[test]
-    fn conv_recursion_steps() {
-        let mut w = ConvWord::held_by(tid(5));
-        for depth in 1..=CONV_RECURSION_MAX {
-            w = w.recurse();
-            assert_eq!(w.recursion(), depth);
-            assert_eq!(w.tid(), Some(tid(5)), "tid preserved at depth {depth}");
-        }
-        for depth in (0..CONV_RECURSION_MAX).rev() {
-            w = w.unrecurse();
-            assert_eq!(w.recursion(), depth);
-        }
-        assert!(w.0 & LOW_MASK == 0);
-    }
-
-    /// Nests to the documented maximum and verifies the adjacent tid
-    /// field is never disturbed. Runs identically in debug and release:
-    /// the bound is a real `assert!`, not a `debug_assert!`.
-    #[test]
-    fn conv_recursion_saturates_without_tid_corruption() {
-        let mut w = ConvWord::held_by(tid(200));
-        for _ in 0..CONV_RECURSION_MAX {
-            w = w.recurse();
-        }
-        assert_eq!(w.recursion(), CONV_RECURSION_MAX);
-        assert_eq!(w.tid(), Some(tid(200)), "tid intact at saturation");
-    }
-
-    #[test]
-    #[should_panic(expected = "ConvWord recursion overflow")]
-    fn conv_recursion_overflow_panics_in_release() {
-        let mut w = ConvWord::held_by(tid(1));
-        for _ in 0..CONV_RECURSION_MAX {
-            w = w.recurse();
-        }
-        // Depth 64 would carry into the tid bits; must panic even with
-        // debug assertions compiled out.
-        let _ = w.recurse();
-    }
-
-    #[test]
-    #[should_panic(expected = "ConvWord recursion underflow")]
-    fn conv_unrecurse_underflow_panics_in_release() {
-        let _ = ConvWord::held_by(tid(1)).unrecurse();
-    }
-
-    #[test]
-    fn conv_inflated_monitor_id() {
-        let w = ConvWord::inflated(99);
-        assert!(w.is_inflated());
-        assert_eq!(w.monitor_id(), Some(99));
-        assert_eq!(w.tid(), None);
-        assert!(!w.fast_releasable());
-    }
-
-    #[test]
-    fn conv_flc_bit() {
-        let w = ConvWord::held_by(tid(3)).with_flc();
-        assert!(w.has_flc());
-        assert!(!w.fast_releasable());
-        assert_eq!(w.without_flc(), ConvWord::held_by(tid(3)));
-    }
-
-    #[test]
-    fn display_formats_are_nonempty() {
-        for s in [
-            format!("{}", ConvWord::FREE),
-            format!("{}", ConvWord::held_by(tid(1))),
-            format!("{}", ConvWord::inflated(2)),
-        ] {
-            assert!(!s.is_empty());
-        }
     }
 
     #[test]

@@ -1,55 +1,16 @@
-//! Property tests for the lock-word layouts: every state the protocols
+//! Property tests for the lock-word layout: every state the protocols
 //! can produce must decode back to itself, and the state predicates
 //! must be mutually exclusive in the ways the fast paths rely on.
 
 use solero_runtime::thread::ThreadId;
 use solero_runtime::word::{
-    CompactWord, ConvWord, COMPACT_CTR_MAX, COMPACT_TID_MAX, CONV_RECURSION_MAX, FIELD_MAX,
-    LOCK_BIT, SOLERO_RECURSION_MAX,
+    CompactWord, COMPACT_CTR_MAX, COMPACT_TID_MAX, FIELD_MAX, LOCK_BIT, SOLERO_RECURSION_MAX,
 };
 use solero_testkit::{forall, TestRng};
-
-fn gen_tid(rng: &mut TestRng) -> ThreadId {
-    ThreadId::from_raw(rng.gen_range(1u64..=FIELD_MAX)).unwrap()
-}
 
 /// A thread id that fits the SOLERO word's 20-bit tid field.
 fn gen_compact_tid(rng: &mut TestRng) -> ThreadId {
     ThreadId::from_raw(rng.gen_range(1u64..=COMPACT_TID_MAX)).unwrap()
-}
-
-#[test]
-fn conv_held_words_roundtrip() {
-    forall(256, 0xC0_4D_01, |g| {
-        let tid = gen_tid(g.rng());
-        let rec = g.gen_range(0u64..=CONV_RECURSION_MAX);
-        let mut w = ConvWord::held_by(tid);
-        for _ in 0..rec {
-            w = w.recurse();
-        }
-        assert_eq!(w.tid(), Some(tid));
-        assert_eq!(w.recursion(), rec);
-        assert!(!w.is_inflated());
-        assert!(w.is_held_flat());
-        // Fast release requires recursion 0 and clear flags.
-        assert_eq!(w.fast_releasable(), rec == 0);
-        // FLC set/clear is an involution that preserves everything else.
-        assert_eq!(w.with_flc().without_flc(), w);
-        assert_eq!(w.with_flc().recursion(), rec);
-        assert_eq!(w.with_flc().tid(), Some(tid));
-    });
-}
-
-#[test]
-fn conv_inflated_words_decode() {
-    forall(256, 0xC0_4D_02, |g| {
-        let monitor = g.gen_range(1u64..=FIELD_MAX);
-        let w = ConvWord::inflated(monitor);
-        assert!(w.is_inflated());
-        assert_eq!(w.monitor_id(), Some(monitor));
-        assert_eq!(w.tid(), None);
-        assert!(!w.fast_releasable());
-    });
 }
 
 #[test]

@@ -1,15 +1,16 @@
 //! Synchronization facade for the SOLERO reproduction.
 //!
-//! Every protocol crate (`solero`, `solero-tasuki`, `solero-rwlock`,
-//! `solero-heap`, and the `OsMonitor` half of `solero-runtime`) imports
+//! Every protocol crate (`solero`, home of both SOLERO and the tasuki
+//! baseline, `solero-rwlock`, `solero-heap`, and the `OsMonitor` half
+//! of `solero-runtime`) imports
 //! its atomics, mutexes and condition variables from here instead of
 //! `std::sync`. In a normal build this module is nothing but
 //! re-exports — the types *are* the `std` types, so the facade is
 //! zero-cost and the benches compile unchanged.
 //!
 //! Under `RUSTFLAGS="--cfg solero_mc"` the same paths resolve to
-//! instrumented shims ([`shim`]) that yield to a cooperative scheduler
-//! ([`rt`]) at every operation. The scheduler runs exactly one virtual
+//! instrumented shims (`shim`) that yield to a cooperative scheduler
+//! (`rt`) at every operation. The scheduler runs exactly one virtual
 //! thread at a time and asks a [`model::Chooser`] which one, which is
 //! what lets `solero-mc` exhaustively enumerate interleavings of small
 //! lock scenarios and deterministically replay any failing schedule.

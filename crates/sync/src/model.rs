@@ -1,6 +1,6 @@
 //! Scheduler-facing data model, compiled in **every** build.
 //!
-//! The cooperative runtime ([`crate::rt`]) only exists under
+//! The cooperative runtime (`crate::rt`) only exists under
 //! `--cfg solero_mc`, but the vocabulary it speaks — decision points,
 //! choosers, execution results, the printed trace format — is plain
 //! data. Keeping it cfg-free lets `solero-mc` compile (and unit-test

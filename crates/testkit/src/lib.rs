@@ -13,12 +13,13 @@
 //!   the workloads use;
 //! * [`prop`] — [`prop::forall`], a property-test runner with
 //!   failing-seed reporting and iteration shrinking;
-//! * [`stress`] — [`stress::stress`], a deterministic concurrency
-//!   harness: named threads, barrier-phased rounds, per-worker seeds
-//!   derived from one root seed, and a bounded-time watchdog;
-//! * [`bench`] — a criterion-compatible `Instant`-based timing loop for
-//!   the micro-bench targets (statistical mode behind the off-by-default
-//!   `criterion` feature);
+//! * [`stress`](mod@stress) — [`stress::stress`], a deterministic
+//!   concurrency harness: named threads, barrier-phased rounds,
+//!   per-worker seeds derived from one root seed, and a bounded-time
+//!   watchdog;
+//! * [`bench`](mod@bench) — a criterion-compatible `Instant`-based
+//!   timing loop for the micro-bench targets (statistical mode behind
+//!   the off-by-default `criterion` feature);
 //! * [`pad`] — [`pad::CachePadded`] for per-thread counters.
 //!
 //! Reproduction workflow: every failure message prints a root seed;

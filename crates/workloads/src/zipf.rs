@@ -105,8 +105,8 @@ impl Zipf {
         self.scramble(self.sample(rng))
     }
 
-    /// The deterministic rank → key scramble used by [`scrambled`]
-    /// (`Zipf::scrambled`), exposed for tests.
+    /// The deterministic rank → key scramble used by
+    /// [`scrambled`](Self::scrambled), exposed for tests.
     pub fn scramble(&self, rank: u64) -> u64 {
         SplitMix64::new(rank).next_u64() % self.n
     }

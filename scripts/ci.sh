@@ -16,6 +16,11 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: offline release build =="
 cargo build --release --offline --workspace
 
+# Every intra-doc link must resolve: a rename or a deletion that leaves
+# a doc comment pointing at a type that no longer exists fails here.
+echo "== tier-1: docs build with no broken links =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # `--no-fail-fast` runs every test binary even after one fails, so a
 # flaky test cannot hide the results of the binaries after it; the step
 # still fails if any test does.

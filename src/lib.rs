@@ -2,8 +2,10 @@
 //! workspace crate under one roof so the examples and integration tests
 //! (and downstream experiments) can depend on a single package.
 //!
-//! * [`solero`] — the SOLERO lock (the paper's contribution);
-//! * [`solero_tasuki`] / [`solero_rwlock`] — the evaluated baselines;
+//! * [`solero`] — the SOLERO lock (the paper's contribution) and the
+//!   conventional lock it extends (`solero::TasukiLock`, the `Lock`
+//!   baseline);
+//! * [`solero_rwlock`] — the reader-writer baselines;
 //! * [`solero_runtime`] — lock words, monitors, events, fences, stats;
 //! * [`solero_heap`] / [`solero_collections`] — the speculation-safe
 //!   data substrate;
@@ -23,5 +25,4 @@ pub use solero_heap;
 pub use solero_jit;
 pub use solero_runtime;
 pub use solero_rwlock;
-pub use solero_tasuki;
 pub use solero_workloads;

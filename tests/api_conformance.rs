@@ -1,13 +1,12 @@
 //! API conformance: thread-safety markers and trait hygiene that the
 //! rest of the system (and downstream users) rely on.
 
-use solero::{Fault, SoleroConfig, SoleroLock, SyncStrategy};
+use solero::{Fault, SoleroConfig, SoleroLock, SyncStrategy, TasukiLock};
 use solero_heap::{Heap, ObjRef};
 use solero_jit::interp::Interpreter;
 use solero_runtime::stats::StatsSnapshot;
-use solero_runtime::word::{CompactWord, ConvWord};
+use solero_runtime::word::CompactWord;
 use solero_rwlock::{BravoLock, BravoPolicy, JavaRwLock, RawRwLock, ReadToken};
-use solero_tasuki::TasukiLock;
 
 fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
@@ -76,7 +75,6 @@ fn errors_are_well_behaved() {
 #[test]
 fn value_types_are_copy_eq_hash_debug() {
     fn is_value<T: Copy + Eq + std::hash::Hash + std::fmt::Debug>() {}
-    is_value::<ConvWord>();
     is_value::<CompactWord>();
     is_value::<ObjRef>();
     is_value::<solero_heap::ClassId>();
@@ -109,7 +107,6 @@ fn debug_representations_are_never_empty() {
         format!("{:?}", ReadToken::slow()),
         format!("{:?}", solero_rwlock::visible::global()),
         format!("{:?}", StatsSnapshot::default()),
-        format!("{:?}", ConvWord::FREE),
         format!("{:?}", CompactWord::INIT),
         format!("{:?}", ObjRef::NULL),
         format!("{:?}", Fault::NullPointer),

@@ -6,9 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use solero::{Fault, SoleroLock};
+use solero::{Fault, SoleroLock, TasukiLock};
 use solero_runtime::thread::ThreadId;
-use solero_tasuki::TasukiLock;
 
 /// Classic producer/consumer over the conventional lock.
 #[test]
