@@ -70,9 +70,13 @@ use crate::read::LockWord;
 /// assert_eq!(space.stats().snapshot().elision_success, 1);
 /// ```
 #[derive(Debug)]
+#[repr(C)]
 pub struct CompactSpace {
-    config: SoleroConfig,
+    /// First, so a lock that embeds its space right after its word (the
+    /// conventional [`TasukiLock`](crate::TasukiLock)) has its hot
+    /// counters right after the word.
     stats: LockStats,
+    config: SoleroConfig,
 }
 
 impl Default for CompactSpace {
@@ -91,8 +95,8 @@ impl CompactSpace {
     /// ignored — compact locks carry no per-lock policy state.
     pub fn with_config(config: SoleroConfig) -> Self {
         CompactSpace {
-            config,
             stats: LockStats::default(),
+            config,
         }
     }
 

@@ -51,12 +51,13 @@ pub struct SoleroConfig {
     /// back to acquiring the lock. The paper uses 1: "the fallback
     /// occurs after one failure".
     pub fallback_threshold: u32,
-    /// Three-tier contention loop sizes (Figure 3 / Figure 8), used by
-    /// the read-side waits (the slow read entry and a forfeited
+    /// Three-tier contention loop sizes (Figure 3 / Figure 8) for
+    /// SOLERO's read-side waits (the slow read entry and a forfeited
     /// section), which wait for the word to free rather than competing
-    /// on a CAS, and by the conventional
-    /// [`TasukiLock`](crate::TasukiLock)'s contended writer. A SOLERO
-    /// writer probes under [`contention`](Self::contention) instead.
+    /// on a CAS. A SOLERO writer probes under
+    /// [`contention`](Self::contention) instead. The conventional
+    /// [`TasukiLock`](crate::TasukiLock) takes no configuration: its
+    /// contended writer always waits on the default tiers.
     pub spin: SpinConfig,
     /// History-keyed back-off for the contending CAS probes of the slow
     /// write path and the retry-exhausted fallback (arXiv 1305.5800's

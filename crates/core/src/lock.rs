@@ -34,13 +34,24 @@ use solero_runtime::spin::Probe;
 use solero_runtime::stats::LockStats;
 use solero_runtime::thread::ThreadId;
 use solero_runtime::word::{
-    CompactWord, COMPACT_CTR_MASK, COMPACT_CTR_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP,
+    CompactWord, COMPACT_CTR_STEP, SOLERO_RECURSION_MAX, SOLERO_RECURSION_STEP,
 };
 
 use crate::adaptive::AdaptivePolicy;
 use crate::compact::{CompactRef, CompactSpace};
 use crate::config::SoleroConfig;
 use crate::read::LockWord;
+
+/// Runs a fast path's slow branch as a cold call. A handle is too big
+/// to pass in registers, so calling a slow path with it makes the
+/// compiler write the handle to the stack, and it does so where the
+/// handle is built, before the fast path runs. Moving the handle into
+/// `f` builds that copy here, in the branch that needs it.
+#[cold]
+#[inline(never)]
+fn out_of_line<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
 
 /// Timed-wait interval for FLC waiters (see
 /// `OsMonitor::wait_timeout` for why the wait is timed).
@@ -70,13 +81,18 @@ const FLC_RECHECK: Duration = Duration::from_millis(1);
 /// assert_eq!(lock.stats().snapshot().elision_success, 1);
 /// ```
 #[derive(Debug)]
+#[repr(C)]
 pub struct SoleroLock {
-    /// The lock word ([`CompactWord`] layout).
-    word: AtomicU64,
-    /// Configuration and statistics: a space of one lock.
+    /// Statistics and configuration: a space of one lock.
     space: CompactSpace,
     /// The adaptive elision policy, present iff `config.adaptive` is.
+    /// Cache-line aligned, so the word after it starts a line that
+    /// holds nothing but the word and the nonce: elided readers, which
+    /// only load the word, never share its line with the counters they
+    /// bump.
     policy: Option<AdaptivePolicy>,
+    /// The lock word ([`CompactWord`] layout).
+    word: AtomicU64,
     /// Process-unique generation nonce drawn at construction; paired
     /// with the word address to form the monitor-table key, so a lock
     /// later allocated at this address can never adopt this lock's
@@ -119,9 +135,9 @@ impl SoleroLock {
     /// Creates an unlocked lock with explicit configuration.
     pub fn with_config(config: SoleroConfig) -> Self {
         SoleroLock {
-            word: AtomicU64::new(CompactWord::INIT.raw()),
             space: CompactSpace::with_config(config),
             policy: config.adaptive.map(AdaptivePolicy::new),
+            word: AtomicU64::new(CompactWord::INIT.raw()),
             gen: next_lock_gen(),
         }
     }
@@ -290,10 +306,16 @@ impl Drop for SoleroLock {
 /// assert_eq!(lock.raw_word().raw(), 0, "a free conventional lock reads zero");
 /// ```
 #[derive(Debug)]
+#[repr(C)]
 pub struct TasukiLock {
     /// The lock word ([`CompactWord`] layout, counter held at zero).
     word: AtomicU64,
-    /// Configuration and statistics: a space of one lock.
+    /// Statistics and configuration: a space of one lock. It follows
+    /// the word, and its statistics come first, so the counters every
+    /// section bumps (`write_enters`, `write_fast`, `read_enters`) lie
+    /// within 40 bytes of the word's start, on its cache line unless
+    /// the lock starts in the last 24 bytes of one. A conventional
+    /// section writes the word anyway, so then it owns no other line.
     space: CompactSpace,
     /// Process-unique generation nonce; paired with the word address to
     /// key the monitor table, so address reuse never aliases monitors.
@@ -508,7 +530,7 @@ impl<'a> CompactRef<'a> {
         if v.is_elidable() && self.try_acquire(v, tid) {
             return true;
         }
-        self.slow_acquire(tid);
+        out_of_line(move || self.slow_acquire(tid));
         false
     }
 
@@ -555,7 +577,7 @@ impl<'a> CompactRef<'a> {
             self.word.store(self.release_word(v), Ordering::Release);
             return;
         }
-        self.slow_release(tid, v);
+        out_of_line(move || self.slow_release(tid, v));
     }
 
     /// Slow write acquisition: recursion, spinning, FLC, fat mode.
@@ -745,11 +767,15 @@ impl<'a> CompactRef<'a> {
         if v.is_inflated() {
             // Every fat-mode *writing* release advances the displaced
             // counter so deflation never republishes a captured value.
-            let m = self
-                .monitor_existing()
-                .expect("fat owner's monitor must be tabled");
-            debug_assert!(m.owned_by(tid), "fat release by non-owner");
-            m.bump_displaced(self.step);
+            // The conventional lock's step is zero, so it has nothing
+            // to advance and skips the monitor lookup.
+            if self.step != 0 {
+                let m = self
+                    .monitor_existing()
+                    .expect("fat owner's monitor must be tabled");
+                debug_assert!(m.owned_by(tid), "fat release by non-owner");
+                m.bump_displaced(self.step);
+            }
             self.exit_fat(tid);
             return;
         }
@@ -797,7 +823,7 @@ impl<'a> CompactRef<'a> {
     fn release_word(self, held: CompactWord) -> u64 {
         #[cfg(solero_mc)]
         if crate::mutation::active() == crate::mutation::STUCK_COUNTER {
-            return held.raw() & COMPACT_CTR_MASK;
+            return held.release_word(0).raw();
         }
         self.released(held)
     }
@@ -807,8 +833,7 @@ impl<'a> CompactRef<'a> {
     /// (the conventional lock, whose counter never moves) that is zero.
     #[inline]
     fn released(self, held: CompactWord) -> u64 {
-        debug_assert!(!held.is_inflated());
-        (held.raw() & COMPACT_CTR_MASK).wrapping_add(self.step)
+        held.release_word(self.step).raw()
     }
 
     /// Final fat release: deflates when the monitor is uncontended —
@@ -1022,10 +1047,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn word_line_holds_no_counters() {
+        use std::mem::{align_of, offset_of, size_of};
+        let word = offset_of!(SoleroLock, word);
+        assert_eq!(
+            align_of::<SoleroLock>() % 64,
+            0,
+            "the lock starts a cache line"
+        );
+        assert_eq!(word % 64, 0, "the word starts a cache line");
+        let l = SoleroLock::new();
+        let stats = l.stats() as *const LockStats as usize - &l as *const SoleroLock as usize;
+        let line = word..word + 64;
+        assert!(
+            stats >= line.end || stats + size_of::<LockStats>() <= line.start,
+            "LockStats at {stats}..{} shares the word's line {line:?}",
+            stats + size_of::<LockStats>()
+        );
+    }
+
     /// The conventional lock: the same protocol with a zero step.
     mod tasuki {
         use super::*;
         use std::sync::Arc;
+
+        #[test]
+        fn word_is_followed_by_the_hot_counters() {
+            use std::mem::{offset_of, size_of};
+            let l = TasukiLock::new();
+            let base = &l as *const TasukiLock as usize;
+            let at = |c: &AtomicU64| c as *const AtomicU64 as usize - base;
+            let s = l.stats();
+            assert_eq!(offset_of!(TasukiLock, word), 0, "the word comes first");
+            // Every section bumps one of these counters. With the word
+            // they span the lock's first 40 bytes, so they share the
+            // word's cache line unless the lock starts in the last 24
+            // bytes of a line.
+            assert_eq!(at(&s.write_enters), size_of::<AtomicU64>());
+            assert!(at(&s.write_fast) < 40 && at(&s.read_enters) < 40);
+        }
 
         #[test]
         fn uncontended_lock_unlock() {

@@ -111,9 +111,11 @@ pub struct SeqLock<T: SeqData> {
     seq: AtomicU64,
     /// The inline payload words; only `Self::WORDS` are used.
     data: [AtomicU64; SEQ_INLINE_WORDS],
-    /// Configuration and statistics: a space of one lock.
-    space: CompactSpace,
+    /// Cache-line aligned, so it starts past the payload's last line
+    /// and keeps the counters below off every line a reader loads.
     policy: Option<AdaptivePolicy>,
+    /// Statistics and configuration: a space of one lock.
+    space: CompactSpace,
     _payload: PhantomData<fn(T) -> T>,
 }
 
@@ -146,8 +148,8 @@ impl<T: SeqData> SeqLock<T> {
         let lock = SeqLock {
             seq: AtomicU64::new(0),
             data: std::array::from_fn(|_| AtomicU64::new(0)),
-            space: CompactSpace::with_config(config),
             policy: config.adaptive.map(AdaptivePolicy::new),
+            space: CompactSpace::with_config(config),
             _payload: PhantomData,
         };
         lock.store_words(init);
@@ -542,6 +544,13 @@ mod tests {
             stats >= line.end || stats + size_of::<LockStats>() <= line.start,
             "LockStats at {stats}..{} shares the word's line {line:?}",
             stats + size_of::<LockStats>()
+        );
+        // A 64-byte payload's last word spills onto the next line; the
+        // counters stay off that one too.
+        let payload_end = offset_of!(L, data) + size_of::<[AtomicU64; SEQ_INLINE_WORDS]>();
+        assert!(
+            stats >= payload_end.next_multiple_of(64),
+            "LockStats at {stats} shares a line with the payload (ends at {payload_end})"
         );
     }
 

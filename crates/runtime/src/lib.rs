@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use solero_runtime::word::CompactWord;
+//! use solero_runtime::word::{CompactWord, COMPACT_CTR_STEP};
 //! use solero_runtime::thread::ThreadId;
 //!
 //! // A free SOLERO word carries a counter; acquisition adds tid|LOCK_BIT
@@ -29,7 +29,7 @@
 //! let free = CompactWord::with_counter(10);
 //! let held = CompactWord::held_by(free, ThreadId::current());
 //! assert!(free.is_elidable() && !held.is_elidable());
-//! assert_eq!(held.release_word().counter(), Some(11));
+//! assert_eq!(held.release_word(COMPACT_CTR_STEP).counter(), Some(11));
 //! ```
 
 #![warn(missing_docs)]

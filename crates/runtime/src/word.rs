@@ -127,7 +127,7 @@ pub const COMPACT_TID_MASK: u64 = COMPACT_TID_MAX << COMPACT_TID_SHIFT;
 /// # Examples
 ///
 /// ```
-/// use solero_runtime::word::CompactWord;
+/// use solero_runtime::word::{CompactWord, COMPACT_CTR_STEP};
 /// use solero_runtime::thread::ThreadId;
 ///
 /// let free = CompactWord::with_counter(41);
@@ -136,7 +136,7 @@ pub const COMPACT_TID_MASK: u64 = COMPACT_TID_MAX << COMPACT_TID_SHIFT;
 /// let held = CompactWord::held_by(free, tid);
 /// assert_eq!(held.counter(), Some(41)); // counter rides along
 /// assert_eq!(held.tid(), Some(tid));
-/// let released = held.release_word();
+/// let released = held.release_word(COMPACT_CTR_STEP);
 /// assert_eq!(released.counter(), Some(42));
 /// assert!(released.is_elidable());
 /// ```
@@ -286,15 +286,18 @@ impl CompactWord {
     }
 
     /// The free word a release publishes: keep the counter bits, drop
-    /// the tid/flag bits, advance the counter one step. Works from any
-    /// thin word (held, or free-with-FLC when computing a displaced
+    /// the tid/flag bits, add `step` to the counter. SOLERO's releases
+    /// pass [`COMPACT_CTR_STEP`] (Figure 6: the counter advances one
+    /// step); the conventional lock's pass `0` (Figure 2: its counter
+    /// stays zero, so its free word is [`INIT`](Self::INIT)). Works from
+    /// any thin word (held, or free-with-FLC when computing a displaced
     /// value), because the counter occupies the same bits in all of
     /// them. A carry off bit 63 vanishes — the counter wraps inside its
     /// own field.
     #[inline]
-    pub fn release_word(self) -> Self {
+    pub fn release_word(self, step: u64) -> Self {
         debug_assert!(!self.is_inflated());
-        CompactWord((self.0 & COMPACT_CTR_MASK).wrapping_add(COMPACT_CTR_STEP))
+        CompactWord((self.0 & COMPACT_CTR_MASK).wrapping_add(step))
     }
 
     /// Word with the FLC bit set.
@@ -395,19 +398,21 @@ mod tests {
     #[test]
     fn compact_release_advances_in_word_counter() {
         let held = CompactWord::held_by(CompactWord::with_counter(7), tid(3));
-        let released = held.release_word();
+        let released = held.release_word(COMPACT_CTR_STEP);
         assert!(released.is_elidable());
         assert_eq!(released.counter(), Some(8));
         // Release also works from a free-with-FLC word (displaced value
         // computation in the inflate path): FLC and tid bits are dropped.
-        let displaced = CompactWord::with_counter(7).with_flc().release_word();
+        let displaced = CompactWord::with_counter(7)
+            .with_flc()
+            .release_word(COMPACT_CTR_STEP);
         assert_eq!(displaced, released);
     }
 
     #[test]
     fn compact_counter_wraps_off_bit_63() {
         let held = CompactWord::held_by(CompactWord::with_counter(COMPACT_CTR_MAX), tid(5));
-        let released = held.release_word();
+        let released = held.release_word(COMPACT_CTR_STEP);
         // The carry off bit 63 vanishes; no flag or tid bit is touched.
         assert_eq!(released.counter(), Some(0));
         assert_eq!(released.raw() & !COMPACT_CTR_MASK, 0);

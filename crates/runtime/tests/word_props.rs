@@ -4,7 +4,8 @@
 
 use solero_runtime::thread::ThreadId;
 use solero_runtime::word::{
-    CompactWord, COMPACT_CTR_MAX, COMPACT_TID_MAX, FIELD_MAX, LOCK_BIT, SOLERO_RECURSION_MAX,
+    CompactWord, COMPACT_CTR_MAX, COMPACT_CTR_STEP, COMPACT_TID_MAX, FIELD_MAX, LOCK_BIT,
+    SOLERO_RECURSION_MAX,
 };
 use solero_testkit::{forall, TestRng};
 
@@ -60,7 +61,7 @@ fn compact_release_always_changes_the_word() {
         // The elision protocol's core invariant: a write section's
         // release never republishes the pre-acquisition word.
         let v1 = CompactWord::with_counter(counter);
-        let released = CompactWord::held_by(v1, tid).release_word();
+        let released = CompactWord::held_by(v1, tid).release_word(COMPACT_CTR_STEP);
         assert_ne!(released, v1);
         assert!(released.is_elidable(), "released word is free again");
     });
@@ -77,12 +78,32 @@ fn compact_counter_chain_never_repeats_within_field_range() {
         let mut w = CompactWord::with_counter(start);
         let first = w;
         for _ in 0..steps {
-            let next = CompactWord::held_by(w, tid).release_word();
+            let next = CompactWord::held_by(w, tid).release_word(COMPACT_CTR_STEP);
             assert_ne!(next, w);
             assert_ne!(next, first);
             w = next;
         }
         assert_eq!(w.counter(), Some(start + steps as u64));
+    });
+}
+
+#[test]
+fn compact_zero_step_release_frees_the_conventional_word_to_init() {
+    forall(256, 0xC0_4D_07, |g| {
+        let tid = gen_compact_tid(g.rng());
+        let counter = g.gen_range(0u64..=COMPACT_CTR_MAX);
+        // The conventional lock's release (Figure 2) adds nothing: its
+        // counter never leaves zero, so every free word it publishes,
+        // from a held word or a free-with-FLC one, is the initial word.
+        let held = CompactWord::held_by(CompactWord::INIT, tid);
+        assert_eq!(held.release_word(0), CompactWord::INIT);
+        assert_eq!(
+            CompactWord::INIT.with_flc().release_word(0),
+            CompactWord::INIT
+        );
+        // In general a zero step keeps the counter and drops the rest.
+        let w = CompactWord::held_by(CompactWord::with_counter(counter), tid);
+        assert_eq!(w.release_word(0), CompactWord::with_counter(counter));
     });
 }
 
