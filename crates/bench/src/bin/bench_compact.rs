@@ -7,29 +7,28 @@
 //!
 //! **Footprint sweep** — a heap full of two-slot objects whose slot 0
 //! *is* the lock: the compact scheme's entire per-object cost is that
-//! one eight-byte word, with the config, statistics and abort history
-//! amortised across the shared [`CompactSpace`] and every inflated
-//! structure living in the global monitor table only while it is
-//! needed. The sweep locks and elides on every object, drives a slice
-//! of them through a full inflate → deflate cycle, and then *asserts*
-//! the claim: side bytes per object (space + residual table entries)
-//! must stay under one byte, and the monitor table must drain back to
-//! its starting size once the heap is quiescent. The baseline is
-//! `size_of::<SoleroLock>()` — the standalone lock carries its word,
-//! the displaced-counter cell, a config copy, the full stats block and
-//! the abort history inline, per lock.
+//! one eight-byte word, with the config and statistics amortised
+//! across the shared [`CompactSpace`] and every inflated structure
+//! living in the global monitor table only while it is needed. The
+//! sweep locks and elides on every object, drives a slice of them
+//! through a full inflate → deflate cycle, and then *asserts* the
+//! claim: side bytes per object (space + residual table entries) must
+//! stay under one byte, and the monitor table must drain back to its
+//! starting size once the heap is quiescent. The baseline is
+//! `size_of::<SoleroLock>()` — the standalone lock carries the same
+//! word with a space of its own (config copy and full stats block),
+//! its adaptive policy and its generation nonce, per lock.
 //!
 //! **Hot-object sweep** — a fixed budget of validated pair-reads on one
 //! object, 1 and 4 threads, compact elision vs the standalone
-//! `SoleroLock` over the same heap: the compact protocol keeps the
-//! counter inside the word, so this measures what the table-backed
-//! design costs (or doesn't) on the elided fast path.
+//! `SoleroLock` over the same heap: both run one read driver over one
+//! word layout, so this measures what the heap slot and the shared
+//! space cost (or don't) on the elided fast path.
 
-use std::path::PathBuf;
-use std::sync::Barrier;
 use std::time::Instant;
 
 use solero::{CompactSpace, Fault, SoleroLock};
+use solero_bench::record::{best_of, timed, Args, Cell, Host, Record};
 use solero_heap::{ClassId, Heap};
 use solero_runtime::osmonitor::MonitorTable;
 use solero_runtime::thread::ThreadId;
@@ -45,71 +44,12 @@ const INFLATE_STRIDE: usize = 256;
 const NEST_DEPTH: usize = 40;
 const READ_THREADS: [usize; 2] = [1, 4];
 
-struct Cell {
-    label: &'static str,
-    threads: usize,
-    ops: u64,
-    secs: f64,
-    elision_success: u64,
-    fallback_acquires: u64,
-}
-
-impl Cell {
-    fn ns_per_op(&self) -> f64 {
-        self.secs * 1e9 / self.ops as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"threads\":{},\"ops\":{},\"secs\":{:.6},\
-             \"ns_per_op\":{:.2},\"elision_success\":{},\"fallback_acquires\":{}}}",
-            self.label,
-            self.threads,
-            self.ops,
-            self.secs,
-            self.ns_per_op(),
-            self.elision_success,
-            self.fallback_acquires
-        )
-    }
-}
-
-/// Barrier-started timing shared by every cell (same shape as
-/// `bench_seqlock`): the clock can only overestimate, never undercount.
-fn timed(threads: usize, body: impl Fn(usize) + Sync) -> f64 {
-    let start = Barrier::new(threads + 1);
-    let t0 = std::thread::scope(|s| {
-        for id in 0..threads {
-            let (start, body) = (&start, &body);
-            s.spawn(move || {
-                start.wait();
-                body(id);
-            });
-        }
-        let t0 = Instant::now();
-        start.wait();
-        t0
-    });
-    t0.elapsed().as_secs_f64()
-}
-
-struct Footprint {
-    objects: usize,
-    inflate_cycles: u64,
-    table_before: usize,
-    table_after: usize,
-    compact_word_bytes: usize,
-    compact_side_bytes_per_object: f64,
-    solero_bytes_per_lock: usize,
-    inflations: u64,
-    deflations: u64,
-}
-
 /// The footprint sweep: every object gets a write section and a
 /// validated elided read through its in-slot word; every
 /// `INFLATE_STRIDE`-th additionally runs a recursion-saturated
 /// inflate → deflate cycle. Asserts the two halves of the claim.
-fn run_footprint(objects: usize) -> Footprint {
+fn run_footprint(objects: usize) -> Cell {
+    let t0 = Instant::now();
     let table = MonitorTable::global();
     let table_before = table.len();
     let heap = Heap::new(objects * (1 + SLOTS as usize) + 8);
@@ -176,17 +116,11 @@ fn run_footprint(objects: usize) -> Footprint {
     let s = space.stats().snapshot();
     assert!(s.inflations >= inflate_cycles, "{s:?}");
     assert!(s.deflations <= s.inflations, "{s:?}");
-    Footprint {
-        objects,
-        inflate_cycles,
-        table_before,
-        table_after,
-        compact_word_bytes: std::mem::size_of::<u64>(),
-        compact_side_bytes_per_object: side,
-        solero_bytes_per_lock: std::mem::size_of::<SoleroLock>(),
-        inflations: s.inflations,
-        deflations: s.deflations,
-    }
+    Cell::new("footprint", 1, objects as u64, t0.elapsed().as_secs_f64(), s)
+        .value("inflate_cycles", inflate_cycles as f64)
+        .value("table_before", table_before as f64)
+        .value("table_after", table_after as f64)
+        .value("side_bytes_per_object", side)
 }
 
 /// Hot-object compact cell: validated pair-reads through one in-slot
@@ -216,14 +150,7 @@ fn run_compact_reads(threads: usize, total: u64) -> Cell {
     });
     let s = space.stats().snapshot();
     assert_eq!(s.read_enters, per * threads as u64, "lost compact reads");
-    Cell {
-        label: "compact",
-        threads,
-        ops: per * threads as u64,
-        secs,
-        elision_success: s.elision_success,
-        fallback_acquires: s.fallback_acquires,
-    }
+    Cell::new("compact", threads, per * threads as u64, secs, s)
 }
 
 /// Baseline cell: the same pair behind a standalone `SoleroLock`.
@@ -249,40 +176,14 @@ fn run_solero_reads(threads: usize, total: u64) -> Cell {
     });
     let s = lock.stats().snapshot();
     assert_eq!(s.read_enters, per * threads as u64, "lost solero reads");
-    Cell {
-        label: "solero",
-        threads,
-        ops: per * threads as u64,
-        secs,
-        elision_success: s.elision_success,
-        fallback_acquires: s.fallback_acquires,
-    }
-}
-
-fn best(repeats: usize, run: impl Fn() -> Cell) -> Cell {
-    (0..repeats)
-        .map(|_| run())
-        .min_by(|a, b| a.secs.total_cmp(&b.secs))
-        .expect("at least one repeat")
-}
-
-fn cells_json(cells: &[Cell]) -> String {
-    cells.iter().map(Cell::to_json).collect::<Vec<_>>().join(",\n      ")
+    Cell::new("solero", threads, per * threads as u64, secs, s)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_compact.json"));
-    let objects: usize = if quick { 50_000 } else { 2_000_000 };
-    let reads: u64 = if quick { 4 * 4_000 } else { 4 * 200_000 };
-    let repeats = if quick { 1 } else { 5 };
+    let args = Args::parse("BENCH_compact.json", None);
+    let objects: usize = if args.quick { 50_000 } else { 2_000_000 };
+    let reads: u64 = if args.quick { 4 * 4_000 } else { 4 * 200_000 };
+    let repeats = if args.quick { 1 } else { 5 };
 
     eprintln!(
         "bench_compact: {objects} objects in the footprint sweep \
@@ -290,16 +191,16 @@ fn main() {
          (threads {READ_THREADS:?}), best of {repeats}"
     );
 
+    let word_bytes = std::mem::size_of::<u64>();
+    let solero_bytes = std::mem::size_of::<SoleroLock>();
     let fp = run_footprint(objects);
     eprintln!(
-        "  [footprint] word {} B + {:.4} side B/object (SoleroLock {} B); \
+        "  [footprint] word {word_bytes} B + {:.4} side B/object (SoleroLock {solero_bytes} B); \
          {} inflate cycles, table {} -> {}",
-        fp.compact_word_bytes,
-        fp.compact_side_bytes_per_object,
-        fp.solero_bytes_per_lock,
-        fp.inflate_cycles,
-        fp.table_before,
-        fp.table_after
+        fp.values["side_bytes_per_object"],
+        fp.values["inflate_cycles"],
+        fp.values["table_before"],
+        fp.values["table_after"]
     );
 
     // Warm both contenders untimed (first-touch costs; quick mode has
@@ -307,47 +208,32 @@ fn main() {
     std::hint::black_box(run_compact_reads(1, 4_000));
     std::hint::black_box(run_solero_reads(1, 4_000));
 
-    let mut cells = Vec::new();
+    let mut cells = vec![fp];
     for &threads in &READ_THREADS {
-        let compact = best(repeats, || run_compact_reads(threads, reads));
-        let solero = best(repeats, || run_solero_reads(threads, reads));
+        let pair = best_of(
+            repeats,
+            &[run_compact_reads as fn(usize, u64) -> Cell, run_solero_reads]
+                .map(|run| move || run(threads, reads)),
+        );
+        let (compact, solero) = (&pair[0], &pair[1]);
         eprintln!(
             "  [reads] {threads} threads: compact {:>8.2} ns/op, solero {:>8.2} ns/op ({:.2}x)",
             compact.ns_per_op(),
             solero.ns_per_op(),
             compact.ns_per_op() / solero.ns_per_op()
         );
-        cells.push(compact);
-        cells.push(solero);
+        cells.extend(pair);
     }
-    let hot_ratio = cells[0].ns_per_op() / cells[1].ns_per_op();
+    let hot_ratio = cells[1].ns_per_op() / cells[2].ns_per_op();
 
-    // Assembled by hand like the other BENCH_* documents: flat objects
-    // only, `solero_obs::json` re-parseable.
-    let doc = format!(
-        "{{\n  \"workload\": \"compact-monitor-footprint\",\n  \
-         \"objects\": {},\n  \
-         \"inflate_cycles\": {},\n  \
-         \"compact_word_bytes\": {},\n  \
-         \"compact_side_bytes_per_object\": {:.6},\n  \
-         \"solero_bytes_per_lock\": {},\n  \
-         \"table_before\": {},\n  \
-         \"table_after\": {},\n  \
-         \"inflations\": {},\n  \
-         \"deflations\": {},\n  \
-         \"compact_vs_solero_hot_read\": {hot_ratio:.4},\n  \
-         \"read_cells\": [\n      {}\n  ]\n}}\n",
-        fp.objects,
-        fp.inflate_cycles,
-        fp.compact_word_bytes,
-        fp.compact_side_bytes_per_object,
-        fp.solero_bytes_per_lock,
-        fp.table_before,
-        fp.table_after,
-        fp.inflations,
-        fp.deflations,
-        cells_json(&cells),
-    );
-    std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
-    eprintln!("wrote {}", out.display());
+    Record::new("compact-monitor-footprint", Host::current(args.quick))
+        .param("objects", objects as f64)
+        .param("inflate_stride", INFLATE_STRIDE as f64)
+        .param("compact_word_bytes", word_bytes as f64)
+        .param("solero_bytes_per_lock", solero_bytes as f64)
+        .param("reads_per_cell", reads as f64)
+        .param("repeats", repeats as f64)
+        .param("compact_vs_solero_hot_read", hot_ratio)
+        .cells(cells)
+        .save(&args.out);
 }

@@ -25,15 +25,12 @@
 //! contender burns its whole quantum while the preempted holder waits
 //! for the CPU — and once with the default history-keyed manager,
 //! whose escalating back-off crosses the yield threshold and hands the
-//! core back. The managed cells report `contention_backoffs` so the
-//! waits are attributable, and the headline is the managed/naive
-//! throughput ratio.
-
-use std::path::PathBuf;
-use std::sync::Barrier;
-use std::time::Instant;
+//! core back. Every cell carries the lock's counters, so the storm's
+//! `contention_backoffs` make the waits attributable; the headline is
+//! the managed/naive throughput ratio.
 
 use solero::{Fault, SeqLock, SoleroConfig, SoleroLock};
+use solero_bench::record::{best_of, timed, Args, Cell, Host, Record};
 use solero_heap::{ClassId, Heap};
 use solero_runtime::contention::ContentionConfig;
 use solero_testkit::TestRng;
@@ -41,61 +38,6 @@ use solero_testkit::TestRng;
 const READ_THREADS: [usize; 3] = [1, 4, 16];
 const STORM_THREADS: usize = 16;
 const PAIR: ClassId = ClassId::new(42);
-
-struct Cell {
-    label: &'static str,
-    threads: usize,
-    ops: u64,
-    secs: f64,
-    fallback_acquires: u64,
-    contention_backoffs: u64,
-}
-
-impl Cell {
-    fn mops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.secs / 1e6
-    }
-
-    fn ns_per_op(&self) -> f64 {
-        self.secs * 1e9 / self.ops as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"threads\":{},\"ops\":{},\"secs\":{:.6},\
-             \"mops_per_sec\":{:.4},\"ns_per_op\":{:.2},\
-             \"fallback_acquires\":{},\"contention_backoffs\":{}}}",
-            self.label,
-            self.threads,
-            self.ops,
-            self.secs,
-            self.mops_per_sec(),
-            self.ns_per_op(),
-            self.fallback_acquires,
-            self.contention_backoffs
-        )
-    }
-}
-
-/// Barrier-started timing shared by every cell; the clock starts before
-/// the release so elapsed time can only be overestimated (best-of-N
-/// repeats then trims), never undercounted.
-fn timed(threads: usize, body: impl Fn(usize) + Sync) -> f64 {
-    let start = Barrier::new(threads + 1);
-    let t0 = std::thread::scope(|s| {
-        for id in 0..threads {
-            let (start, body) = (&start, &body);
-            s.spawn(move || {
-                start.wait();
-                body(id);
-            });
-        }
-        let t0 = Instant::now();
-        start.wait();
-        t0
-    });
-    t0.elapsed().as_secs_f64()
-}
 
 /// Inline read cell: validated pair-reads straight off the lock's own
 /// cache line.
@@ -110,14 +52,7 @@ fn run_inline_reads(threads: usize, total: u64) -> Cell {
     });
     let s = lock.stats().snapshot();
     assert_eq!(s.read_enters, per * threads as u64, "lost inline reads");
-    Cell {
-        label: "inline",
-        threads,
-        ops: per * threads as u64,
-        secs,
-        fallback_acquires: s.fallback_acquires,
-        contention_backoffs: s.contention_backoffs,
-    }
+    Cell::new("inline", threads, per * threads as u64, secs, s)
 }
 
 /// Heap-backed read cell: the same validated pair, but behind SOLERO's
@@ -143,17 +78,10 @@ fn run_heap_reads(threads: usize, total: u64) -> Cell {
     });
     let s = lock.stats().snapshot();
     assert_eq!(s.read_enters, per * threads as u64, "lost heap reads");
-    Cell {
-        label: "heap",
-        threads,
-        ops: per * threads as u64,
-        secs,
-        fallback_acquires: s.fallback_acquires,
-        contention_backoffs: s.contention_backoffs,
-    }
+    Cell::new("heap", threads, per * threads as u64, secs, s)
 }
 
-/// Fallback-storm cell: every thread mixes 25% coupled-pair writes into
+/// Fallback-storm cell: every thread mixes 50% coupled-pair writes into
 /// its reads, under the given contention policy.
 fn run_storm(label: &'static str, contention: ContentionConfig, total: u64) -> Cell {
     let lock = SeqLock::with_config(
@@ -187,41 +115,15 @@ fn run_storm(label: &'static str, contention: ContentionConfig, total: u64) -> C
         per * STORM_THREADS as u64,
         "lost storm ops"
     );
-    Cell {
-        label,
-        threads: STORM_THREADS,
-        ops: per * STORM_THREADS as u64,
-        secs,
-        fallback_acquires: s.fallback_acquires,
-        contention_backoffs: s.contention_backoffs,
-    }
-}
-
-fn best(repeats: usize, run: impl Fn() -> Cell) -> Cell {
-    (0..repeats)
-        .map(|_| run())
-        .min_by(|a, b| a.secs.total_cmp(&b.secs))
-        .expect("at least one repeat")
-}
-
-fn cells_json(cells: &[Cell]) -> String {
-    cells.iter().map(Cell::to_json).collect::<Vec<_>>().join(",\n      ")
+    Cell::new(label, STORM_THREADS, per * STORM_THREADS as u64, secs, s)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_seqlock.json"));
+    let args = Args::parse("BENCH_seqlock.json", None);
     // 16 threads must divide both budgets evenly.
-    let reads: u64 = if quick { 16 * 4_000 } else { 16 * 200_000 };
-    let storm_ops: u64 = if quick { 16 * 250 } else { 16 * 4_000 };
-    let repeats = if quick { 1 } else { 5 };
+    let reads: u64 = if args.quick { 16 * 4_000 } else { 16 * 200_000 };
+    let storm_ops: u64 = if args.quick { 16 * 250 } else { 16 * 4_000 };
+    let repeats = if args.quick { 1 } else { 5 };
 
     eprintln!(
         "bench_seqlock: {reads} reads per read cell (threads {READ_THREADS:?}), \
@@ -234,52 +136,50 @@ fn main() {
     std::hint::black_box(run_inline_reads(1, 4_000));
     std::hint::black_box(run_heap_reads(1, 4_000));
 
-    let mut read_cells = Vec::new();
+    let mut cells = Vec::new();
     for &threads in &READ_THREADS {
-        // Interleave the contenders inside each thread count so a slow
-        // patch on a shared host cannot land entirely on one of them.
-        let inline = best(repeats, || run_inline_reads(threads, reads));
-        let heap = best(repeats, || run_heap_reads(threads, reads));
+        let pair = best_of(
+            repeats,
+            &[run_inline_reads as fn(usize, u64) -> Cell, run_heap_reads]
+                .map(|run| move || run(threads, reads)),
+        );
+        let (inline, heap) = (&pair[0], &pair[1]);
         eprintln!(
             "  [reads] {threads:>2} threads: inline {:>8.2} ns/op, heap {:>8.2} ns/op ({:.2}x)",
             inline.ns_per_op(),
             heap.ns_per_op(),
             heap.ns_per_op() / inline.ns_per_op()
         );
-        read_cells.push(inline);
-        read_cells.push(heap);
+        cells.extend(pair);
     }
-    let inline_gap = read_cells[1].ns_per_op() / read_cells[0].ns_per_op();
+    let inline_gap = cells[1].ns_per_op() / cells[0].ns_per_op();
 
-    let naive = best(repeats, || {
-        run_storm("storm-naive", ContentionConfig::naive(), storm_ops)
-    });
-    let managed = best(repeats, || {
-        run_storm("storm-managed", ContentionConfig::default(), storm_ops)
-    });
-    let storm_ratio = managed.mops_per_sec() / naive.mops_per_sec();
+    let storm = best_of(
+        repeats,
+        &[
+            ("storm-naive", ContentionConfig::naive()),
+            ("storm-managed", ContentionConfig::default()),
+        ]
+        .map(|(label, policy)| move || run_storm(label, policy, storm_ops)),
+    );
+    let (naive, managed) = (&storm[0], &storm[1]);
+    let storm_ratio = managed.ops_per_sec() / naive.ops_per_sec();
     eprintln!(
         "  [storm] {STORM_THREADS} threads: naive {:>7.3} Mops/s, managed {:>7.3} Mops/s \
          ({storm_ratio:.2}x, {} managed backoffs)",
-        naive.mops_per_sec(),
-        managed.mops_per_sec(),
-        managed.contention_backoffs
+        naive.ops_per_sec() / 1e6,
+        managed.ops_per_sec() / 1e6,
+        managed.stats.contention_backoffs
     );
 
-    // Assembled by hand like BENCH_bravo.json: no nested values beyond
-    // arrays of flat objects, `solero_obs::json` re-parseable.
-    let doc = format!(
-        "{{\n  \"workload\": \"seqlock-inline-and-fallback-storm\",\n  \
-         \"reads_per_cell\": {reads},\n  \
-         \"storm_ops\": {storm_ops},\n  \
-         \"storm_threads\": {STORM_THREADS},\n  \
-         \"inline_speedup_single_thread\": {inline_gap:.4},\n  \
-         \"managed_vs_naive_storm\": {storm_ratio:.4},\n  \
-         \"read_cells\": [\n      {}\n  ],\n  \
-         \"storm_cells\": [\n      {}\n  ]\n}}\n",
-        cells_json(&read_cells),
-        cells_json(&[naive, managed]),
-    );
-    std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
-    eprintln!("wrote {}", out.display());
+    Record::new("seqlock-inline-and-fallback-storm", Host::current(args.quick))
+        .param("reads_per_cell", reads as f64)
+        .param("storm_ops", storm_ops as f64)
+        .param("storm_threads", STORM_THREADS as f64)
+        .param("repeats", repeats as f64)
+        .param("inline_speedup_single_thread", inline_gap)
+        .param("managed_vs_naive_storm", storm_ratio)
+        .cells(cells)
+        .cells(storm)
+        .save(&args.out);
 }

@@ -14,16 +14,17 @@
 //! run), scrambled across the range shards; a background checkpointer
 //! takes whole-store snapshots throughout, exactly the workload the
 //! store's epoch handshake exists for. Each strategy's cell reports
-//! p50/p99/p999 latency, achieved vs offered throughput, and the abort
-//! taxonomy.
+//! p50/p90/p99/p999 latency, late starts, the completed operations
+//! over the elapsed time (against the offered `workers ×
+//! rate_per_worker`), and the lock counters of the measured phase.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use solero_bench::figures::fleet;
+use solero_bench::record::{Args, Cell, Host, Record};
 use solero_store::{KvStore, StoreConfig};
-use solero_workloads::openloop::{populate, run_open_loop, OpenLoopConfig, OpenLoopReport, OpMix};
+use solero_workloads::openloop::{populate, run_open_loop, OpenLoopConfig, OpMix};
 
 struct Shape {
     store: StoreConfig,
@@ -63,45 +64,9 @@ fn shape(quick: bool) -> Shape {
     }
 }
 
-struct Cell {
-    strategy: &'static str,
-    report: OpenLoopReport,
-    checkpoints: u64,
-}
-
-impl Cell {
-    fn to_json(&self) -> String {
-        let r = &self.report;
-        let s = &r.stats;
-        format!(
-            "{{\"strategy\":\"{}\",\"ops\":{},\"elapsed_secs\":{:.4},\
-             \"achieved_ops_per_sec\":{:.1},\"offered_ops_per_sec\":{:.1},\
-             \"late_starts\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\
-             \"p999_ns\":{},\"samples\":{},\"read_enters\":{},\"read_aborts\":{},\
-             \"elision_success\":{},\"fallback_acquires\":{},\"checkpoints\":{}}}",
-            self.strategy,
-            r.ops,
-            r.elapsed_secs,
-            r.achieved,
-            r.offered,
-            r.late_starts,
-            r.latency.p50,
-            r.latency.p90,
-            r.latency.p99,
-            r.latency.p999,
-            r.latency.samples,
-            s.read_enters,
-            s.read_aborts,
-            s.elision_success,
-            s.fallback_acquires,
-            self.checkpoints,
-        )
-    }
-}
-
 /// One fleet cell: build, populate, then run the open loop with a
 /// background checkpointer snapshotting the whole store throughout.
-fn run_cell(sh: &Shape, strategy: &'static str, make: fn() -> solero::BoxedStrategy) -> Cell {
+fn run_cell(sh: &Shape, make: fn() -> solero::BoxedStrategy) -> Cell {
     let store = KvStore::new_boxed(sh.store, make);
     populate(&store, |k| k * 3 + 1);
     let stop = AtomicBool::new(false);
@@ -125,8 +90,9 @@ fn run_cell(sh: &Shape, strategy: &'static str, make: fn() -> solero::BoxedStrat
         (report, ck.join().expect("checkpointer panicked"))
     });
     eprintln!(
-        "  [{strategy:>15}] {:>9.0} ops/s achieved / {:>9.0} offered, \
+        "  [{:>15}] {:>9.0} ops/s achieved / {:>9.0} offered, \
          p50 {:>6} ns, p99 {:>8} ns, p999 {:>9} ns, {} late, {} aborts, {} cuts",
+        store.name(),
         report.achieved,
         report.offered,
         report.latency.p50,
@@ -136,24 +102,26 @@ fn run_cell(sh: &Shape, strategy: &'static str, make: fn() -> solero::BoxedStrat
         report.stats.read_aborts,
         checkpoints,
     );
-    Cell {
-        strategy,
-        report,
-        checkpoints,
-    }
+    let l = &report.latency;
+    Cell::new(
+        store.name(),
+        sh.run.workers,
+        report.ops,
+        report.elapsed_secs,
+        report.stats,
+    )
+    .value("late_starts", report.late_starts as f64)
+    .value("p50_ns", l.p50 as f64)
+    .value("p90_ns", l.p90 as f64)
+    .value("p99_ns", l.p99 as f64)
+    .value("p999_ns", l.p999 as f64)
+    .value("samples", l.samples as f64)
+    .value("checkpoints", checkpoints as f64)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_store.json"));
-    let sh = shape(quick);
+    let args = Args::parse("BENCH_store.json", None);
+    let sh = shape(args.quick);
 
     eprintln!(
         "bench_store: {} keys, {} shards, theta {}, {} workers x {} ops/s, {} x {:?} windows",
@@ -166,39 +134,21 @@ fn main() {
         sh.run.window,
     );
 
-    let cells: Vec<Cell> = fleet()
-        .iter()
-        .map(|e| run_cell(&sh, e.name, e.make))
-        .collect();
-    let runs = cells.iter().map(Cell::to_json).collect::<Vec<_>>().join(",\n    ");
-
-    // Hand-assembled like BENCH_adaptive.json / BENCH_bravo.json; must
-    // stay `solero_obs::json` re-parseable
-    // (crates/bench/tests/bench_artifacts.rs).
-    let doc = format!(
-        "{{\n  \"workload\": \"store-open-loop-zipfian\",\n  \
-         \"keys\": {},\n  \
-         \"shards\": {},\n  \
-         \"theta\": {},\n  \
-         \"workers\": {},\n  \
-         \"rate_per_worker\": {},\n  \
-         \"window_ms\": {},\n  \
-         \"windows\": {},\n  \
-         \"get_pct\": {},\n  \
-         \"scan_pct\": {},\n  \
-         \"scan_len\": {},\n  \
-         \"runs\": [\n    {runs}\n  ]\n}}\n",
-        sh.store.keys,
-        sh.store.shards,
-        sh.run.theta,
-        sh.run.workers,
-        sh.run.rate_per_worker,
-        sh.run.window.as_millis(),
-        sh.run.windows,
-        sh.run.mix.get_pct,
-        sh.run.mix.scan_pct,
-        sh.run.mix.scan_len,
-    );
-    std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
-    eprintln!("wrote {}", out.display());
+    let (run, mix) = (&sh.run, &sh.run.mix);
+    Record::new("store-open-loop-zipfian", Host::current(args.quick))
+        .param("keys", sh.store.keys as f64)
+        .param("shards", sh.store.shards as f64)
+        .param("theta", run.theta)
+        .param("workers", run.workers as f64)
+        .param("rate_per_worker", run.rate_per_worker as f64)
+        .param("window_ms", run.window.as_millis() as f64)
+        .param("windows", run.windows as f64)
+        .param("warmup_ops", run.warmup_ops as f64)
+        .param("get_pct", mix.get_pct as f64)
+        .param("scan_pct", mix.scan_pct as f64)
+        .param("scan_len", mix.scan_len as f64)
+        .param("seed", run.seed as f64)
+        .param("checkpoint_every_ms", sh.checkpoint_every.as_millis() as f64)
+        .cells(fleet().into_iter().map(|make| run_cell(&sh, make)))
+        .save(&args.out);
 }

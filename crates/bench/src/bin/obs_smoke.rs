@@ -24,18 +24,20 @@ fn main() {
         runs: 1,
     };
     let mut export = String::new();
-    for (id, entry) in solero_bench::figures::fleet().into_iter().enumerate() {
-        let b = MapBench::new_boxed(MapConfig::paper(MapKind::Hash, 20, 1), entry.make);
+    for (id, make) in solero_bench::figures::fleet().into_iter().enumerate() {
+        let b = MapBench::new_boxed(MapConfig::paper(MapKind::Hash, 20, 1), make);
         let m = measure(&cfg, |t, rng: &mut TestRng| b.op(t, rng), || b.snapshot());
         println!(
             "{:>18}: {:>10.0} ops/s  {:>8} read aborts",
-            entry.name, m.ops_per_sec, m.stats.read_aborts
+            b.name(),
+            m.ops_per_sec,
+            m.stats.read_aborts
         );
         if m.stats.total_sections() == 0 {
-            eprintln!("obs_smoke: {} counted no sections", entry.name);
+            eprintln!("obs_smoke: {} counted no sections", b.name());
             std::process::exit(1);
         }
-        let _ = writeln!(export, "{}", m.stats.to_jsonl(id as u64, entry.name));
+        let _ = writeln!(export, "{}", m.stats.to_jsonl(id as u64, b.name()));
     }
 
     let path = Path::new("results/obs.jsonl");

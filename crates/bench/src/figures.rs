@@ -56,53 +56,26 @@ impl HarnessConfig {
     }
 }
 
-/// One contender of the benchmark fleet: a display name plus a factory
-/// for a fresh boxed strategy behind the dyn-compatible facade.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetEntry {
-    /// Column/row name used in tables and CSVs.
-    pub name: &'static str,
-    /// Builds a fresh strategy instance.
-    pub make: fn() -> BoxedStrategy,
-}
-
 /// The strategy fleet the comparative figures iterate — one growable
-/// registry, so adding a contender here grows every sweep table, header
-/// and CSV with it. `Lock` must stay first: the sweeps normalize their
-/// throughput to it.
-pub fn fleet() -> Vec<FleetEntry> {
+/// registry of factories for fresh boxed strategies, so adding a
+/// contender here grows every sweep table, header and CSV with it; each
+/// contender's name is its strategy's `name()`. `Lock` must stay first:
+/// the sweeps normalize their throughput to it.
+pub fn fleet() -> Vec<fn() -> BoxedStrategy> {
     vec![
-        FleetEntry {
-            name: "Lock",
-            make: || Box::new(LockStrategy::new()),
-        },
-        FleetEntry {
-            name: "RWLock",
-            make: || Box::new(RwStrategy::<JavaRwLock>::new()),
-        },
-        FleetEntry {
-            name: "BRAVO-RW",
-            make: || Box::new(BravoStrategy::new()),
-        },
-        FleetEntry {
-            name: "SOLERO",
-            make: || Box::new(SoleroStrategy::new()),
-        },
-        FleetEntry {
-            name: "Adaptive-SOLERO",
-            make: || {
-                Box::new(SoleroStrategy::configured(
-                    SoleroConfig::builder().adaptive(true).build(),
-                ))
-            },
+        || Box::new(LockStrategy::new()),
+        || Box::new(RwStrategy::<JavaRwLock>::new()),
+        || Box::new(BravoStrategy::new()),
+        || Box::new(SoleroStrategy::new()),
+        || {
+            Box::new(SoleroStrategy::configured(
+                SoleroConfig::builder().adaptive(true).build(),
+            ))
         },
         // The inline seqlock guards ambient workload data through its
         // sequence word here (the closure sections); the typed inline
         // payload fast path is measured separately by `bench_seqlock`.
-        FleetEntry {
-            name: "SeqLock",
-            make: || Box::new(SeqStrategy::new(0u64)),
-        },
+        || Box::new(SeqStrategy::new(0u64)),
     ]
 }
 
@@ -110,7 +83,7 @@ pub fn fleet() -> Vec<FleetEntry> {
 /// so tables grow with [`fleet`] instead of hardcoding it.
 fn fleet_header(lead: &'static str) -> Vec<&'static str> {
     let mut h = vec![lead];
-    h.extend(fleet().iter().map(|e| e.name));
+    h.extend(fleet().iter().map(|make| make().name()));
     h
 }
 
@@ -216,7 +189,7 @@ pub fn fig11(h: &HarnessConfig) -> Table {
         let mc = MapConfig::paper(kind, writes, 1);
         let ops: Vec<f64> = fleet()
             .iter()
-            .map(|e| measure_map(&cfg, mc, e.make).ops_per_sec)
+            .map(|&make| measure_map(&cfg, mc, make).ops_per_sec)
             .collect();
         let mut row = vec![format!("{label} ({writes}% writes)")];
         row.extend(ops.iter().map(|o| f3(o / ops[0] * 100.0)));
@@ -227,8 +200,8 @@ pub fn fig11(h: &HarnessConfig) -> Table {
     let lock = measure_jbb(&cfg, || Box::new(LockStrategy::new())).ops_per_sec;
     let so = measure_jbb(&cfg, || Box::new(SoleroStrategy::new())).ops_per_sec;
     let mut row = vec!["SPECjbb2005 (mini)".to_string()];
-    for FleetEntry { name, .. } in fleet() {
-        row.push(match name {
+    for name in &fleet_header("Benchmark")[1..] {
+        row.push(match *name {
             "Lock" => "100.0".into(),
             "SOLERO" => f3(so / lock * 100.0),
             _ => "-".into(),
@@ -249,7 +222,7 @@ fn sweep_map(h: &HarnessConfig, kind: MapKind, writes: u32, fine: bool, title: &
         let mc = MapConfig::paper(kind, writes, shards);
         let ops: Vec<f64> = fleet()
             .iter()
-            .map(|e| measure_map(&cfg, mc, e.make).ops_per_sec)
+            .map(|&make| measure_map(&cfg, mc, make).ops_per_sec)
             .collect();
         let b = *base.get_or_insert(ops[0]);
         let mut row = vec![n.to_string()];
@@ -538,7 +511,7 @@ mod tests {
 
     #[test]
     fn fleet_registry_carries_every_contender() {
-        let fleet = fleet();
+        let header = fleet_header("threads");
         for required in [
             "Lock",
             "RWLock",
@@ -548,18 +521,13 @@ mod tests {
             "SeqLock",
         ] {
             assert!(
-                fleet.iter().any(|e| e.name == required),
+                header[1..].contains(&required),
                 "the sweep fleet must include {required}"
             );
         }
-        assert_eq!(fleet[0].name, "Lock", "sweeps normalize to Lock");
-        let header = fleet_header("threads");
-        assert_eq!(header.len(), fleet.len() + 1);
+        assert_eq!(header[1], "Lock", "sweeps normalize to Lock");
+        assert_eq!(header.len(), fleet().len() + 1);
         assert_eq!(header[0], "threads");
-        // Every fleet factory really produces its advertised name.
-        for e in fleet {
-            assert_eq!((e.make)().name(), e.name);
-        }
     }
 
     #[test]

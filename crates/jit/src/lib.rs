@@ -65,6 +65,5 @@ pub mod ir;
 pub mod liveness;
 pub mod lower;
 pub mod obsprofile;
-pub mod opt;
 pub mod profile;
 pub mod verify;

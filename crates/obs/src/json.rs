@@ -1,12 +1,12 @@
 //! Minimal JSON support for the per-lock counter export and the bench
-//! documents.
+//! records.
 //!
 //! Hand-rolled on purpose: the workspace has zero registry
 //! dependencies, and the export needs only flat objects of numbers and
-//! strings. The writer half builds one JSONL line; the parser half
-//! reads the export back (`StatsSnapshot`'s line reader, `obs_check`,
-//! profile-guided demotion) and re-parses the checked-in bench
-//! documents.
+//! strings. The writer half builds one JSONL line, or a bench record's
+//! objects nested in objects and arrays of objects; the parser half
+//! reads both back (`StatsSnapshot`'s line reader, `obs_check`,
+//! profile-guided demotion, `solero_bench::record`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -51,6 +51,29 @@ impl JsonObject {
         } else {
             let _ = write!(self.out, "{}:null", escape(key));
         }
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(mut self, key: &str, v: bool) -> Self {
+        self.sep();
+        let _ = write!(self.out, "{}:{v}", escape(key));
+        self
+    }
+
+    /// Adds a field holding a nested object.
+    pub fn obj(mut self, key: &str, v: JsonObject) -> Self {
+        self.sep();
+        let _ = write!(self.out, "{}:{}", escape(key), v.finish());
+        self
+    }
+
+    /// Adds a field holding an array of objects, one element per line
+    /// so a document of many rows stays readable and diffs by row.
+    pub fn objs(mut self, key: &str, vs: impl IntoIterator<Item = JsonObject>) -> Self {
+        self.sep();
+        let rows: Vec<String> = vs.into_iter().map(JsonObject::finish).collect();
+        let _ = write!(self.out, "{}:[\n{}\n]", escape(key), rows.join(",\n"));
         self
     }
 
@@ -120,6 +143,23 @@ impl Value {
             Value::Num(n) => Some(*n),
             _ => None,
         }
+    }
+}
+
+/// Field `key` of a parsed object as a `u64`. The parser reads numbers
+/// as `f64`, which holds every integer below 2^53 exactly; a larger one
+/// could come back changed, so it is rejected rather than rounded.
+///
+/// # Errors
+///
+/// The key is missing, or its value is not a non-negative integer
+/// below 2^53; the message names the key.
+pub fn uint(o: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match o.get(key).map(Value::as_num) {
+        None => Err(format!("missing key {key:?}")),
+        Some(Some(n)) if n >= 0.0 && n.fract() == 0.0 && n < EXACT => Ok(n as u64),
+        Some(_) => Err(format!("{key:?} is not a non-negative integer below 2^53")),
     }
 }
 

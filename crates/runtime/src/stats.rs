@@ -9,9 +9,10 @@
 //! A [`StatsSnapshot`] is also the unit of the JSONL export, one line
 //! per lock: `{"lock":<id>,"name":"<label>",...}` followed by every
 //! counter under its field name. [`StatsSnapshot::to_jsonl`] writes a
-//! line and [`StatsSnapshot::from_jsonl`] reads one back; both come
-//! from the one field list below, so the format cannot drift from the
-//! counters.
+//! line and [`StatsSnapshot::from_jsonl`] reads one back, through
+//! [`StatsSnapshot::write_fields`] and [`StatsSnapshot::read_fields`],
+//! which a bench record's cells use too. Both come from the one field
+//! list below, so neither format can drift from the counters.
 //!
 //! ```
 //! use std::sync::atomic::Ordering;
@@ -79,52 +80,60 @@ macro_rules! counters {
                 }
             }
 
-            /// One export line for lock `lock`, labelled `name`: the id,
-            /// the label, then every counter under its field name.
-            pub fn to_jsonl(&self, lock: u64, name: &str) -> String {
-                JsonObject::new()
-                    .num("lock", lock)
-                    .str("name", name)
-                    $(.num(stringify!($name), self.$name))+
-                    .finish()
+            /// The counter names, in declaration order: the keys
+            /// [`write_fields`](Self::write_fields) writes and
+            /// [`read_fields`](Self::read_fields) requires.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($name)),+];
+
+            /// Appends every counter to `o` under its field name.
+            pub fn write_fields(&self, o: JsonObject) -> JsonObject {
+                o$(.num(stringify!($name), self.$name))+
             }
 
-            /// Reads one export line back as `(lock, name, counters)`.
+            /// Reads every counter from a parsed object. Keys outside
+            /// [`FIELDS`](Self::FIELDS) are the caller's to judge.
             ///
             /// # Errors
             ///
-            /// The first violation: malformed JSON, a key that is not
-            /// `lock`, `name` or a counter, a missing key, or an id or
-            /// counter that is not a non-negative integer below 2^53.
-            pub fn from_jsonl(line: &str) -> Result<(u64, String, StatsSnapshot), String> {
-                const KEYS: &[&str] = &["lock", "name", $(stringify!($name)),+];
-                let v = json::parse(line)?;
-                let o = v.as_obj().ok_or("line is not a JSON object")?;
-                if let Some(key) = o.keys().find(|k| !KEYS.contains(&k.as_str())) {
-                    return Err(format!("unknown key {key:?}"));
-                }
-                let name = o
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or("missing string key \"name\"")?;
-                let counters = StatsSnapshot {
-                    $($name: export_uint(o, stringify!($name))?,)+
-                };
-                Ok((export_uint(o, "lock")?, name.to_string(), counters))
+            /// A missing counter, or one that is not a non-negative
+            /// integer below 2^53; the message names the key.
+            pub fn read_fields(o: &BTreeMap<String, Value>) -> Result<StatsSnapshot, String> {
+                Ok(StatsSnapshot {
+                    $($name: json::uint(o, stringify!($name))?,)+
+                })
             }
         }
     };
 }
 
-/// An export value as a `u64`. The JSON parser reads numbers as `f64`,
-/// which holds every integer below 2^53 exactly; a larger one could come
-/// back changed, so it is rejected rather than rounded.
-fn export_uint(o: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    const EXACT: f64 = (1u64 << 53) as f64;
-    match o.get(key).map(Value::as_num) {
-        None => Err(format!("missing key {key:?}")),
-        Some(Some(n)) if n >= 0.0 && n.fract() == 0.0 && n < EXACT => Ok(n as u64),
-        Some(_) => Err(format!("{key:?} is not a non-negative integer below 2^53")),
+impl StatsSnapshot {
+    /// One export line for lock `lock`, labelled `name`: the id, the
+    /// label, then every counter under its field name.
+    pub fn to_jsonl(&self, lock: u64, name: &str) -> String {
+        self.write_fields(JsonObject::new().num("lock", lock).str("name", name))
+            .finish()
+    }
+
+    /// Reads one export line back as `(lock, name, counters)`.
+    ///
+    /// # Errors
+    ///
+    /// The first violation: malformed JSON, a key that is not `lock`,
+    /// `name` or a counter, a missing key, or an id or counter that is
+    /// not a non-negative integer below 2^53.
+    pub fn from_jsonl(line: &str) -> Result<(u64, String, StatsSnapshot), String> {
+        let v = json::parse(line)?;
+        let o = v.as_obj().ok_or("line is not a JSON object")?;
+        let known = |k: &str| matches!(k, "lock" | "name") || Self::FIELDS.contains(&k);
+        if let Some(key) = o.keys().find(|k| !known(k)) {
+            return Err(format!("unknown key {key:?}"));
+        }
+        let name = o
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or("missing string key \"name\"")?;
+        let counters = Self::read_fields(o)?;
+        Ok((json::uint(o, "lock")?, name.to_string(), counters))
     }
 }
 

@@ -19,9 +19,9 @@
 //! `tests/adaptive_policy_stress.rs`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
 use solero::{BoxedStrategy, Fault};
-use solero_obs::json::JsonObject;
 use solero_runtime::stats::StatsSnapshot;
 use solero_testkit::pad::CachePadded;
 use solero_testkit::rng::TestRng;
@@ -99,11 +99,15 @@ impl BurstyConfig {
     }
 }
 
-/// Per-phase outcome: the phase plus the stats delta it produced.
+/// Per-phase outcome: the phase, its wall-clock time and the stats
+/// delta it produced.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseReport {
     /// Which phase ran.
     pub phase: Phase,
+    /// Wall-clock seconds from the first thread's spawn to the last
+    /// one's exit.
+    pub secs: f64,
     /// Lock statistics accumulated during the phase only.
     pub stats: StatsSnapshot,
 }
@@ -128,22 +132,6 @@ impl PhaseReport {
         } else {
             self.stats.policy_skips as f64 / self.stats.read_enters as f64
         }
-    }
-
-    /// One JSON object for the trajectory file.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("phase", self.phase.name())
-            .num("read_enters", self.stats.read_enters)
-            .num("elision_success", self.stats.elision_success)
-            .num("read_aborts", self.stats.read_aborts)
-            .num("fallback_acquires", self.stats.fallback_acquires)
-            .num("policy_skips", self.stats.policy_skips)
-            .num("policy_disables", self.stats.policy_disables)
-            .num("policy_rearms", self.stats.policy_rearms)
-            .float("elision_rate", self.elision_rate())
-            .float("skip_rate", self.skip_rate())
-            .finish()
     }
 }
 
@@ -204,6 +192,7 @@ impl BurstyBench {
         };
         let writers_in = AtomicUsize::new(0);
         let readers_left = AtomicUsize::new(self.cfg.readers);
+        let t0 = Instant::now();
         std::thread::scope(|s| {
             for w in 0..writers {
                 let writers_in = &writers_in;
@@ -261,6 +250,7 @@ impl BurstyBench {
         });
         PhaseReport {
             phase,
+            secs: t0.elapsed().as_secs_f64(),
             stats: self.strat.snapshot().since(&before),
         }
     }
@@ -314,16 +304,6 @@ mod tests {
             s.elision_success + s.fallback_acquires + s.policy_skips <= s.read_enters,
             "{s}"
         );
-    }
-
-    #[test]
-    fn trajectory_json_is_parseable() {
-        let b = BurstyBench::new(BurstyConfig::quick(), adaptive);
-        let r = b.run_phase(Phase::Quiet, 3);
-        let v = solero_obs::json::parse(&r.to_json()).expect("valid JSON");
-        let obj = v.as_obj().expect("object");
-        assert_eq!(obj["phase"].as_str(), Some("quiet"));
-        assert!(obj["elision_rate"].as_num().is_some());
     }
 
     #[test]

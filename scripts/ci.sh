@@ -201,48 +201,17 @@ for seed in "${PINNED_SEEDS[@]}"; do
         --test contention_props
 done
 
-# The adaptive trajectory bench must keep producing a well-formed
-# document (the full-size run is checked in as BENCH_adaptive.json; the
-# quick run here proves the pipeline, not the numbers).
-echo "== tier-1: adaptive trajectory smoke (quick) =="
-cargo run -q --offline -p solero-bench --bin bench_adaptive -- \
-    --quick --out results/BENCH_adaptive_quick.json 2> /dev/null
-test -s results/BENCH_adaptive_quick.json
-
-# Same deal for the BRAVO reader-throughput sweep (full-size run is
-# checked in as BENCH_bravo.json): the quick run proves the bin still
-# sweeps all four thread counts and emits a well-formed document.
-echo "== tier-1: bravo reader sweep smoke (quick) =="
-cargo run -q --offline -p solero-bench --bin bench_bravo -- \
-    --quick --out results/BENCH_bravo_quick.json 2> /dev/null
-test -s results/BENCH_bravo_quick.json
-
-# And the open-loop store sweep (full-size run is checked in as
-# BENCH_store.json): the quick run proves the bin still drives the whole
-# fleet through the Zipfian open loop and emits a well-formed document.
-echo "== tier-1: store open-loop sweep smoke (quick) =="
-cargo run -q --offline -p solero-bench --bin bench_store -- \
-    --quick --out results/BENCH_store_quick.json 2> /dev/null
-test -s results/BENCH_store_quick.json
-
-# And the inline-seqlock deltas (full-size run is checked in as
-# BENCH_seqlock.json): the quick run proves the bin still sweeps the
-# inline/heap read cells and both storm policies and emits a
-# well-formed document.
-echo "== tier-1: seqlock inline + fallback storm smoke (quick) =="
-cargo run -q --offline -p solero-bench --bin bench_seqlock -- \
-    --quick --out results/BENCH_seqlock_quick.json 2> /dev/null
-test -s results/BENCH_seqlock_quick.json
-
-# Compact-monitor footprint smoke (full-size run is checked in as
-# BENCH_compact.json): the quick run proves the 8-byte claim end to
-# end — the bin itself fails if per-object lock overhead exceeds the
-# one-word budget or the monitor table is non-empty after the
-# quiescent drain.
-echo "== tier-1: compact monitor footprint smoke (quick) =="
-cargo run -q --offline -p solero-bench --bin bench_compact -- \
-    --quick --out results/BENCH_compact_quick.json 2> /dev/null
-test -s results/BENCH_compact_quick.json
+# The record bins (full-size runs are checked in as BENCH_*.json): a
+# quick run of each proves it still drives its whole sweep, including
+# the assertions it makes on the way (the footprint bound and table
+# drain, lost ops, torn pairs), and the bin itself fails unless the
+# record it wrote reads back through solero_bench::record.
+for bench in adaptive bravo store seqlock compact; do
+    echo "== tier-1: bench_$bench record smoke (quick) =="
+    cargo run -q --offline -p solero-bench --bin "bench_$bench" -- \
+        --quick --out "results/BENCH_${bench}_quick.json" 2> /dev/null
+    test -s "results/BENCH_${bench}_quick.json"
+done
 
 # The benchmark (perfbench/, a workspace of its own on path
 # dependencies) checks the library from outside: its unit tests, the
