@@ -15,9 +15,10 @@
 //! claim: side bytes per object (space + residual table entries) must
 //! stay under one byte, and the monitor table must drain back to its
 //! starting size once the heap is quiescent. The baseline is
-//! `size_of::<SoleroLock>()` — the standalone lock carries the same
-//! word with a space of its own (config copy and full stats block),
-//! its adaptive policy and its generation nonce, per lock.
+//! `size_of::<SoleroLock>()` plus its out-of-line read stripes
+//! ([`STRIPES_BYTES`]) — the standalone lock carries the same word
+//! with a space of its own (config copy and full stats block), its
+//! adaptive policy and its generation nonce, per lock.
 //!
 //! **Hot-object sweep** — a fixed budget of validated pair-reads on one
 //! object, 1 and 4 threads, compact elision vs the standalone
@@ -31,6 +32,7 @@ use solero::{CompactSpace, Fault, SoleroLock};
 use solero_bench::record::{best_of, timed, Args, Cell, Host, Record};
 use solero_heap::{ClassId, Heap};
 use solero_runtime::osmonitor::MonitorTable;
+use solero_runtime::stats::STRIPES_BYTES;
 use solero_runtime::thread::ThreadId;
 
 const NODE: ClassId = ClassId::new(77);
@@ -102,11 +104,12 @@ fn run_footprint(objects: usize) -> Cell {
          {table_before} -> {table_after}"
     );
     // Side bytes: everything the compact scheme needs beyond the
-    // in-object word — one shared space per heap plus whatever the
-    // table still holds (one shard map entry per residual monitor,
-    // conservatively costed at a cache line each).
+    // in-object word — one shared space per heap (with its read
+    // stripes) plus whatever the table still holds (one shard map
+    // entry per residual monitor, conservatively costed at a cache
+    // line each).
     let residual = table_after.saturating_sub(table_before);
-    let side = (std::mem::size_of::<CompactSpace>() + residual * 64) as f64
+    let side = (std::mem::size_of::<CompactSpace>() + STRIPES_BYTES + residual * 64) as f64
         / objects as f64;
     assert!(
         side < 1.0,
@@ -192,7 +195,7 @@ fn main() {
     );
 
     let word_bytes = std::mem::size_of::<u64>();
-    let solero_bytes = std::mem::size_of::<SoleroLock>();
+    let solero_bytes = std::mem::size_of::<SoleroLock>() + STRIPES_BYTES;
     let fp = run_footprint(objects);
     eprintln!(
         "  [footprint] word {word_bytes} B + {:.4} side B/object (SoleroLock {solero_bytes} B); \

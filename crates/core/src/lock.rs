@@ -312,10 +312,11 @@ pub struct TasukiLock {
     word: AtomicU64,
     /// Statistics and configuration: a space of one lock. It follows
     /// the word, and its statistics come first, so the counters every
-    /// section bumps (`write_enters`, `write_fast`, `read_enters`) lie
-    /// within 40 bytes of the word's start, on its cache line unless
-    /// the lock starts in the last 24 bytes of one. A conventional
-    /// section writes the word anyway, so then it owns no other line.
+    /// write section bumps (`write_enters`, `write_fast`) lie within 24
+    /// bytes of the word's start, on its cache line unless the lock
+    /// starts in the last 16 bytes of one. A conventional section
+    /// writes the word anyway, so then it owns no other line. A read
+    /// section also books `read_enters`, on the caller's read stripe.
     space: CompactSpace,
     /// Process-unique generation nonce; paired with the word address to
     /// key the monitor table, so address reuse never aliases monitors.
@@ -412,7 +413,7 @@ impl TasukiLock {
     /// exclusion cannot exploit read-onlyness — only the statistics
     /// classification differs (Table 1 read-only ratios).
     pub fn enter_read(&self, tid: ThreadId) {
-        self.stats().read_enters.fetch_add(1, Ordering::Relaxed);
+        self.stats().note_read_enter();
         self.handle().acquire_uncounted(tid);
     }
 
@@ -1065,6 +1066,16 @@ mod tests {
             "LockStats at {stats}..{} shares the word's line {line:?}",
             stats + size_of::<LockStats>()
         );
+        let word_at = &l.word as *const AtomicU64 as usize;
+        let word_line = word_at..word_at + 64;
+        for span in l.stats().stripe_spans() {
+            assert_eq!(span.start % 64, 0, "stripe {span:?} starts a cache line");
+            assert_eq!(span.len(), 64, "stripe {span:?} fills its line alone");
+            assert!(
+                span.start >= word_line.end || span.end <= word_line.start,
+                "stripe {span:?} shares the word's line {word_line:?}"
+            );
+        }
     }
 
     /// The conventional lock: the same protocol with a zero step.
@@ -1080,12 +1091,13 @@ mod tests {
             let at = |c: &AtomicU64| c as *const AtomicU64 as usize - base;
             let s = l.stats();
             assert_eq!(offset_of!(TasukiLock, word), 0, "the word comes first");
-            // Every section bumps one of these counters. With the word
-            // they span the lock's first 40 bytes, so they share the
-            // word's cache line unless the lock starts in the last 24
-            // bytes of a line.
+            // Every write section bumps these counters. With the word
+            // they span the lock's first 24 bytes, so they share the
+            // word's cache line unless the lock starts in the last 16
+            // bytes of a line. (`read_enters` lives in the read
+            // stripes.)
             assert_eq!(at(&s.write_enters), size_of::<AtomicU64>());
-            assert!(at(&s.write_fast) < 40 && at(&s.read_enters) < 40);
+            assert!(at(&s.write_fast) < 24);
         }
 
         #[test]

@@ -207,11 +207,11 @@ pub trait LockWord<'a>: Copy {
         }
     }
 
-    /// Books one successful elision: the counter, plus the adaptive
-    /// policy's success streak.
+    /// Books one successful elision: the counter, on the caller's
+    /// stripe, plus the adaptive policy's success streak.
     #[inline(always)]
     fn note_elided(self) {
-        self.stats().elision_success.fetch_add(1, Ordering::Relaxed);
+        self.stats().note_elided();
         if let Some(p) = self.policy() {
             p.on_elided();
         }
@@ -228,7 +228,7 @@ pub trait LockWord<'a>: Copy {
     ) -> Result<R, Fault> {
         let stats = self.stats();
         let config = self.config();
-        stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        stats.note_read_enter();
         if config.elision == ElisionMode::NoElide {
             return self.read_unelided(false, f);
         }

@@ -552,6 +552,16 @@ mod tests {
             stats >= payload_end.next_multiple_of(64),
             "LockStats at {stats} shares a line with the payload (ends at {payload_end})"
         );
+        let word_at = &l.seq as *const AtomicU64 as usize;
+        let word_line = word_at..word_at + 64;
+        for span in l.stats().stripe_spans() {
+            assert_eq!(span.start % 64, 0, "stripe {span:?} starts a cache line");
+            assert_eq!(span.len(), 64, "stripe {span:?} fills its line alone");
+            assert!(
+                span.start >= word_line.end || span.end <= word_line.start,
+                "stripe {span:?} shares the word's line {word_line:?}"
+            );
+        }
     }
 
     #[test]

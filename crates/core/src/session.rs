@@ -153,10 +153,7 @@ impl<'a, W: LockWord<'a>> Checkpoint for ReadSession<'a, W> {
             return Ok(());
         }
         if self.poll.should_validate() {
-            self.lock
-                .stats()
-                .async_validations
-                .fetch_add(1, Ordering::Relaxed);
+            self.lock.stats().note_async_validation();
             return self.validate_now();
         }
         Ok(())

@@ -6,6 +6,18 @@
 //! counters; the workload driver aggregates snapshots across locks and
 //! threads.
 //!
+//! An elided read-only section writes nothing shared, and its counters
+//! keep it that way. The three counters a validated elided read books
+//! (`read_enters`, `elision_success`, `async_validations`) live in
+//! [`READ_STRIPES`] cache-line stripes out of line, one picked per
+//! thread by its [`ThreadId`], and are bumped only through
+//! [`LockStats::note_read_enter`], [`LockStats::note_elided`] and
+//! [`LockStats::note_async_validation`]. Threads that share a stripe
+//! still count exactly: each bump is a relaxed `fetch_add`. Every other
+//! counter is a field of the lock's shared block. [`LockStats::snapshot`]
+//! and [`LockStats::reset`] fold the stripes in, so a snapshot does not
+//! show where a counter lives.
+//!
 //! A [`StatsSnapshot`] is also the unit of the JSONL export, one line
 //! per lock: `{"lock":<id>,"name":"<label>",...}` followed by every
 //! counter under its field name. [`StatsSnapshot::to_jsonl`] writes a
@@ -19,9 +31,12 @@
 //! use solero_runtime::stats::{LockStats, StatsSnapshot};
 //!
 //! let stats = LockStats::default();
-//! stats.read_enters.fetch_add(3, Ordering::Relaxed);
+//! stats.write_enters.fetch_add(2, Ordering::Relaxed);
+//! for _ in 0..3 {
+//!     stats.note_read_enter();
+//! }
 //! let line = stats.snapshot().to_jsonl(7, "cache");
-//! assert!(line.starts_with(r#"{"lock":7,"name":"cache","write_enters":0,"#));
+//! assert!(line.starts_with(r#"{"lock":7,"name":"cache","write_enters":2,"#));
 //! let (lock, name, snap) = StatsSnapshot::from_jsonl(&line).unwrap();
 //! assert_eq!((lock, name.as_str(), snap.read_enters), (7, "cache", 3));
 //! // Every counter must be present.
@@ -29,20 +44,93 @@
 //! ```
 
 use core::fmt;
+use core::ops::Range;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use solero_obs::json::{self, JsonObject, Value};
 use solero_obs::AbortReason;
 
-macro_rules! counters {
-    ($($(#[$m:meta])* $name:ident),+ $(,)?) => {
+use crate::thread::ThreadId;
+
+/// Read stripes per [`LockStats`]. A constant, not a setting: enough
+/// that the threads one host runs at once rarely share a stripe, few
+/// enough that a lock's stripes cost 1 KiB.
+pub const READ_STRIPES: usize = 16;
+
+/// Heap bytes a [`LockStats`] holds beyond its `size_of`: the
+/// [`READ_STRIPES`] stripes, one cache line each.
+pub const STRIPES_BYTES: usize = READ_STRIPES * std::mem::size_of::<ReadStripe>();
+
+/// Splits the counter list into the fields of [`LockStats`]'s shared
+/// block (`shared`) and of one read stripe (`striped`), keeping each
+/// group in list order.
+macro_rules! split_counters {
+    ([$($shared:tt)*] [$($striped:tt)*]) => {
         /// Per-lock event counters. All increments are `Relaxed`; the
         /// counters are statistics, not synchronization.
-        #[derive(Debug, Default)]
+        ///
+        /// The shared counters are public fields; the striped ones
+        /// (see the module docs) are bumped through the `note_*`
+        /// methods and read through [`snapshot`](Self::snapshot).
+        /// `repr(C)` keeps the shared fields in list order,
+        /// `write_enters` first, and the stripe pointer last, so a lock
+        /// that puts its statistics right after its word keeps its
+        /// write counters on the word's line.
+        #[derive(Default)]
+        #[repr(C)]
         pub struct LockStats {
-            $($(#[$m])* pub $name: AtomicU64,)+
+            $($shared)*
+            stripes: Box<[ReadStripe; READ_STRIPES]>,
         }
+
+        /// One thread group's copy of the striped counters, alone on
+        /// its cache line.
+        #[derive(Default)]
+        #[repr(C, align(64))]
+        struct ReadStripe {
+            $($striped)*
+        }
+    };
+    ([$($shared:tt)*] [$($striped:tt)*]
+     $(#[$m:meta])* $name:ident: shared, $($rest:tt)*) => {
+        split_counters!([$($shared)* $(#[$m])* pub $name: AtomicU64,] [$($striped)*] $($rest)*);
+    };
+    ([$($shared:tt)*] [$($striped:tt)*]
+     $(#[$m:meta])* $name:ident: striped, $($rest:tt)*) => {
+        split_counters!([$($shared)*] [$($striped)* $name: AtomicU64,] $($rest)*);
+    };
+}
+
+/// The total of one counter across the shared block or the stripes.
+macro_rules! load_counter {
+    ($stats:ident, shared, $name:ident) => {
+        $stats.$name.load(Ordering::Relaxed)
+    };
+    ($stats:ident, striped, $name:ident) => {
+        $stats
+            .stripes
+            .iter()
+            .map(|s| s.$name.load(Ordering::Relaxed))
+            .sum()
+    };
+}
+
+/// Zeroes one counter in the shared block or in every stripe.
+macro_rules! reset_counter {
+    ($stats:ident, shared, $name:ident) => {
+        $stats.$name.store(0, Ordering::Relaxed)
+    };
+    ($stats:ident, striped, $name:ident) => {
+        for s in $stats.stripes.iter() {
+            s.$name.store(0, Ordering::Relaxed);
+        }
+    };
+}
+
+macro_rules! counters {
+    ($($(#[$m:meta])* $name:ident: $kind:ident),+ $(,)?) => {
+        split_counters!([] [] $($(#[$m])* $name: $kind,)+);
 
         /// A point-in-time copy of [`LockStats`].
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,16 +139,17 @@ macro_rules! counters {
         }
 
         impl LockStats {
-            /// Copies the counters.
+            /// Copies the counters, each striped one summed over the
+            /// stripes.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    $($name: load_counter!(self, $kind, $name),)+
                 }
             }
 
-            /// Resets every counter to zero.
+            /// Resets every counter to zero, in every stripe.
             pub fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
+                $(reset_counter!(self, $kind, $name);)+
             }
         }
 
@@ -137,81 +226,124 @@ impl StatsSnapshot {
     }
 }
 
+// A `striped` counter is one a validated elided read books; it lives
+// in the read stripes. A `shared` one is a field of the shared block.
 counters! {
     /// Writing critical sections entered (fast or slow path).
-    write_enters,
+    write_enters: shared,
     /// Writing entries satisfied by the fast-path CAS.
-    write_fast,
+    write_fast: shared,
     /// Recursive flat-lock entries.
-    recursive_enters,
+    recursive_enters: shared,
     /// Read-only critical sections started (per attempt group, not retry).
-    read_enters,
+    read_enters: striped,
     /// Read-only sections completed with the lock elided.
-    elision_success,
+    elision_success: striped,
     /// Speculative executions that failed validation or faulted and were
     /// re-executed (counts each failed attempt).
-    elision_failure,
+    elision_failure: shared,
     /// Read-only sections that fell back to acquiring the lock.
-    fallback_acquires,
+    fallback_acquires: shared,
     /// Read-only sections that entered the slow entry path (lock busy at
     /// first probe).
-    read_slow_enters,
+    read_slow_enters: shared,
     /// Transitions thin → fat.
-    inflations,
+    inflations: shared,
     /// Transitions fat → thin.
-    deflations,
+    deflations: shared,
     /// Times a thread parked on the monitor because of flat-lock
     /// contention (FLC protocol).
-    flc_waits,
+    flc_waits: shared,
     /// Entries that went through the OS monitor (fat mode).
-    monitor_enters,
+    monitor_enters: shared,
     /// Validation checks triggered by asynchronous events at check-points.
-    async_validations,
+    async_validations: striped,
     /// Speculative faults (null pointer, bounds, ...) observed and
     /// recovered from by re-execution.
-    speculative_faults,
+    speculative_faults: shared,
     /// Read-mostly sections that upgraded in place to holding the lock
     /// (Figure 17 CAS succeeded).
-    mostly_upgrades,
+    mostly_upgrades: shared,
     /// Speculative read attempts aborted, any reason (sum of the
     /// `abort_*` counters below).
-    read_aborts,
+    read_aborts: shared,
     /// Aborts: lock word busy at entry, speculation never started.
-    abort_locked_at_entry,
+    abort_locked_at_entry: shared,
     /// Aborts: exit/catch validation saw the captured word change.
-    abort_word_changed_at_exit,
+    abort_word_changed_at_exit: shared,
     /// Aborts: an asynchronous check-point re-validation failed.
-    abort_async_revalidation,
+    abort_async_revalidation: shared,
     /// Aborts: retry budget exhausted, fell back to real acquisition.
-    abort_retry_exhausted,
+    abort_retry_exhausted: shared,
     /// Aborts: the lock inflated and the reader went through the
     /// monitor.
-    abort_inflation,
+    abort_inflation: shared,
     /// Read-only sections the adaptive policy sent straight to real
     /// acquisition (elision forfeited). Not an abort: speculation never
     /// started, so these do NOT contribute to `read_aborts`.
-    policy_skips,
+    policy_skips: shared,
     /// Times the adaptive policy forfeited elision (a per-class retry
     /// budget hit zero while elision was still enabled).
-    policy_disables,
+    policy_disables: shared,
     /// Times the adaptive policy re-armed elision (a forfeit window
     /// drained and speculation resumed).
-    policy_rearms,
+    policy_rearms: shared,
     /// BRAVO: writers that found the lock read-biased and revoked the
     /// bias (cleared `rbias`, then scanned the visible-readers table).
     /// Zero for every non-BRAVO lock.
-    bias_revocations,
+    bias_revocations: shared,
     /// BRAVO: times a slow-path reader re-installed the read bias after
     /// the uncontended-slow-path threshold was met. Zero for every
     /// non-BRAVO lock.
-    bias_rebiases,
+    bias_rebiases: shared,
     /// Back-off waits taken by the history-keyed contention manager on
     /// the slow write / retry-exhausted fallback path (arXiv 1305.5800).
     /// Zero while every probe succeeds without waiting.
-    contention_backoffs,
+    contention_backoffs: shared,
 }
 
 impl LockStats {
+    /// The calling thread's stripe.
+    #[inline]
+    fn stripe(&self) -> &ReadStripe {
+        &self.stripes[ThreadId::current().as_u64() as usize % READ_STRIPES]
+    }
+
+    /// Books one read-only section entry (`read_enters`) on the
+    /// caller's stripe.
+    #[inline]
+    pub fn note_read_enter(&self) {
+        self.stripe().read_enters.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Books one read-only section that completed elided
+    /// (`elision_success`) on the caller's stripe.
+    #[inline]
+    pub fn note_elided(&self) {
+        self.stripe()
+            .elision_success
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Books one check-point validation triggered by an asynchronous
+    /// event (`async_validations`) on the caller's stripe.
+    #[inline]
+    pub fn note_async_validation(&self) {
+        self.stripe()
+            .async_validations
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The address range of each read stripe, for layout checks: a
+    /// stripe must start its own cache line and share no line with the
+    /// lock word.
+    pub fn stripe_spans(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.stripes.iter().map(|s| {
+            let at = s as *const ReadStripe as usize;
+            at..at + std::mem::size_of::<ReadStripe>()
+        })
+    }
+
     /// Books one aborted speculative read attempt: the aggregate
     /// `read_aborts` counter plus the counter of its reason (the
     /// Figure 15 breakdown). Every lock books aborts here, exactly once
@@ -281,6 +413,14 @@ impl StatsSnapshot {
     }
 }
 
+impl fmt::Debug for LockStats {
+    /// The counters as a snapshot would read them, the stripes folded
+    /// in.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("LockStats").field(&self.snapshot()).finish()
+    }
+}
+
 impl fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -308,7 +448,9 @@ mod tests {
     fn snapshot_reflects_increments() {
         let s = LockStats::default();
         s.write_enters.fetch_add(3, Ordering::Relaxed);
-        s.elision_success.fetch_add(5, Ordering::Relaxed);
+        for _ in 0..5 {
+            s.note_elided();
+        }
         let snap = s.snapshot();
         assert_eq!(snap.write_enters, 3);
         assert_eq!(snap.elision_success, 5);
@@ -359,6 +501,8 @@ mod tests {
     fn reset_zeroes() {
         let s = LockStats::default();
         s.inflations.fetch_add(7, Ordering::Relaxed);
+        s.note_read_enter();
+        s.note_async_validation();
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }

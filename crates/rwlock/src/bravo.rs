@@ -237,7 +237,7 @@ impl BravoLock {
         // re-check loads — the store→load edge a revoking writer's
         // mirror-image `rbias` store + slot scan relies on.
         if self.is_biased() {
-            self.stats.elision_success.fetch_add(1, Ordering::Relaxed);
+            self.stats.note_elided();
             return Some(ReadToken::fast(slot));
         }
         // A revocation raced us between publish and re-check. Withdraw,
@@ -318,7 +318,7 @@ impl RawRwLock for BravoLock {
     // fast path is exactly the code a JIT flattens into the reader.
     #[inline]
     fn acquire_read(&self) -> ReadToken {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        self.stats.note_read_enter();
         if let Some(t) = self.try_fast_read() {
             return t;
         }
@@ -346,12 +346,12 @@ impl RawRwLock for BravoLock {
 
     fn try_acquire_read(&self) -> Option<ReadToken> {
         if let Some(t) = self.try_fast_read() {
-            self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+            self.stats.note_read_enter();
             return Some(t);
         }
         let t = self.underlying.try_acquire_read()?;
         debug_assert!(!t.is_fast());
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        self.stats.note_read_enter();
         self.stats.read_slow_enters.fetch_add(1, Ordering::Relaxed);
         self.note_uncontended_slow_read();
         Some(t)

@@ -148,7 +148,7 @@ impl JavaRwLock {
 
     #[inline(never)]
     fn read_lock(&self) {
-        self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+        self.stats.note_read_enter();
         let s = &*self.state;
         loop {
             let w = s.word.load(Ordering::Acquire);
@@ -187,7 +187,7 @@ impl JavaRwLock {
                 .compare_exchange_weak(w, w + 1, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
-                self.stats.read_enters.fetch_add(1, Ordering::Relaxed);
+                self.stats.note_read_enter();
                 self.note_read_hold();
                 return true;
             }

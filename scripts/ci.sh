@@ -198,7 +198,9 @@ for seed in "${PINNED_SEEDS[@]}"; do
         --test model_based \
         --test random_programs \
         --test adaptive_policy_props \
-        --test contention_props
+        --test contention_props \
+        --test stats_export_props \
+        --test stats_stripes_props
 done
 
 # The record bins (full-size runs are checked in as BENCH_*.json): a
