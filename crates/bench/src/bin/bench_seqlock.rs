@@ -1,5 +1,5 @@
-//! `bench_seqlock` — the two deltas of the inline-seqlock issue,
-//! emitted as `BENCH_seqlock.json`.
+//! `bench_seqlock` — the inline seqlock's read gap and its fallback
+//! storm, emitted as `BENCH_seqlock.json`.
 //!
 //! ```text
 //! bench_seqlock [--quick] [--out PATH]
@@ -19,20 +19,15 @@
 //! hosts may have a single core) each mixing 50% *stretched*
 //! `update_inline` writes into their reads on one lock, so writers get
 //! preempted while the word is odd and the retry-exhausted fallback
-//! plus the slow write path carry the traffic. Run once with
-//! `ContentionConfig::naive()` — the fixed spin cadence the pre-manager
-//! code used, which never yields and never escalates, so every
-//! contender burns its whole quantum while the preempted holder waits
-//! for the CPU — and once with the default history-keyed manager,
-//! whose escalating back-off crosses the yield threshold and hands the
-//! core back. Every cell carries the lock's counters, so the storm's
-//! `contention_backoffs` make the waits attributable; the headline is
-//! the managed/naive throughput ratio.
+//! plus the slow write path carry the traffic, both probing on the
+//! default spin tiers (Figure 3), whose tier-3 yields hand the core
+//! back to a preempted holder. Every cell carries the lock's counters,
+//! so the storm's `contention_backoffs` (tier-1 waits) make the waits
+//! attributable.
 
-use solero::{Fault, SeqLock, SoleroConfig, SoleroLock};
+use solero::{Fault, SeqLock, SoleroLock};
 use solero_bench::record::{best_of, timed, Args, Cell, Host, Record};
 use solero_heap::{ClassId, Heap};
-use solero_runtime::contention::ContentionConfig;
 use solero_testkit::TestRng;
 
 const READ_THREADS: [usize; 3] = [1, 4, 16];
@@ -82,12 +77,9 @@ fn run_heap_reads(threads: usize, total: u64) -> Cell {
 }
 
 /// Fallback-storm cell: every thread mixes 50% coupled-pair writes into
-/// its reads, under the given contention policy.
-fn run_storm(label: &'static str, contention: ContentionConfig, total: u64) -> Cell {
-    let lock = SeqLock::with_config(
-        SoleroConfig::builder().contention(contention).build(),
-        [0u64; 2],
-    );
+/// its reads.
+fn run_storm(total: u64) -> Cell {
+    let lock = SeqLock::new([0u64; 2]);
     let per = total / STORM_THREADS as u64;
     let secs = timed(STORM_THREADS, |id| {
         let mut rng = TestRng::derive(0x5EC_10CC, id as u64);
@@ -95,8 +87,7 @@ fn run_storm(label: &'static str, contention: ContentionConfig, total: u64) -> C
             if rng.gen_range(0u32..2) == 0 {
                 lock.update_inline(|v| {
                     // Stretch the hold so writers are regularly
-                    // preempted mid-section — the shape that separates
-                    // yielding back-off from blind spinning.
+                    // preempted mid-section, while the word is odd.
                     for _ in 0..1024 {
                         std::hint::spin_loop();
                     }
@@ -115,7 +106,7 @@ fn run_storm(label: &'static str, contention: ContentionConfig, total: u64) -> C
         per * STORM_THREADS as u64,
         "lost storm ops"
     );
-    Cell::new(label, STORM_THREADS, per * STORM_THREADS as u64, secs, s)
+    Cell::new("storm", STORM_THREADS, per * STORM_THREADS as u64, secs, s)
 }
 
 fn main() {
@@ -154,22 +145,11 @@ fn main() {
     }
     let inline_gap = cells[1].ns_per_op() / cells[0].ns_per_op();
 
-    let storm = best_of(
-        repeats,
-        &[
-            ("storm-naive", ContentionConfig::naive()),
-            ("storm-managed", ContentionConfig::default()),
-        ]
-        .map(|(label, policy)| move || run_storm(label, policy, storm_ops)),
-    );
-    let (naive, managed) = (&storm[0], &storm[1]);
-    let storm_ratio = managed.ops_per_sec() / naive.ops_per_sec();
+    let storm = best_of(repeats, &[|| run_storm(storm_ops)]);
     eprintln!(
-        "  [storm] {STORM_THREADS} threads: naive {:>7.3} Mops/s, managed {:>7.3} Mops/s \
-         ({storm_ratio:.2}x, {} managed backoffs)",
-        naive.ops_per_sec() / 1e6,
-        managed.ops_per_sec() / 1e6,
-        managed.stats.contention_backoffs
+        "  [storm] {STORM_THREADS} threads: {:>7.3} Mops/s ({} backoffs)",
+        storm[0].ops_per_sec() / 1e6,
+        storm[0].stats.contention_backoffs
     );
 
     Record::new("seqlock-inline-and-fallback-storm", Host::current(args.quick))
@@ -178,7 +158,6 @@ fn main() {
         .param("storm_threads", STORM_THREADS as f64)
         .param("repeats", repeats as f64)
         .param("inline_speedup_single_thread", inline_gap)
-        .param("managed_vs_naive_storm", storm_ratio)
         .cells(cells)
         .cells(storm)
         .save(&args.out);

@@ -207,8 +207,7 @@ pub struct CompactRef<'a> {
     /// What a writing release adds to the counter: `COMPACT_CTR_STEP`
     /// on every SOLERO handle (Figure 6), zero on a
     /// [`TasukiLock`](crate::TasukiLock)'s (Figure 2), whose free word
-    /// therefore always reads zero. Zero also selects the conventional
-    /// writer's Figure 3 spin tiers over the contention manager.
+    /// therefore always reads zero.
     pub(crate) step: u64,
 }
 

@@ -5,7 +5,6 @@
 //! (`Unelided-SOLERO`, `WeakBarrier-SOLERO`) and to make tests
 //! deterministic.
 
-use solero_runtime::contention::ContentionConfig;
 use solero_runtime::fence::BarrierMode;
 use solero_runtime::spin::SpinConfig;
 
@@ -51,18 +50,14 @@ pub struct SoleroConfig {
     /// back to acquiring the lock. The paper uses 1: "the fallback
     /// occurs after one failure".
     pub fallback_threshold: u32,
-    /// Three-tier contention loop sizes (Figure 3 / Figure 8) for
-    /// SOLERO's read-side waits (the slow read entry and a forfeited
-    /// section), which wait for the word to free rather than competing
-    /// on a CAS. A SOLERO writer probes under
-    /// [`contention`](Self::contention) instead. The conventional
-    /// [`TasukiLock`](crate::TasukiLock) takes no configuration: its
-    /// contended writer always waits on the default tiers.
+    /// Three-tier contention loop sizes (Figure 3 / Figure 8), the one
+    /// back-off policy: a contended writer's CAS probes (which the
+    /// retry-exhausted fallback and a forfeited section also take) and
+    /// the slow read entry's wait for the word to free. The
+    /// conventional [`TasukiLock`](crate::TasukiLock) takes no
+    /// configuration: its contended writer always waits on the default
+    /// tiers.
     pub spin: SpinConfig,
-    /// History-keyed back-off for the contending CAS probes of the slow
-    /// write path and the retry-exhausted fallback (arXiv 1305.5800's
-    /// contention manager, replacing the naive fixed spin there).
-    pub contention: ContentionConfig,
     /// Deterministic validation period at check-points: in addition to
     /// asynchronous events, every `checkpoint_period`-th poll validates.
     /// `0` disables the deterministic fallback (events only).
@@ -81,7 +76,6 @@ impl Default for SoleroConfig {
             barrier: BarrierMode::Strong,
             fallback_threshold: 1,
             spin: SpinConfig::default(),
-            contention: ContentionConfig::default(),
             checkpoint_period: 1024,
             adaptive: None,
         }
@@ -148,15 +142,6 @@ impl SoleroConfigBuilder {
         self
     }
 
-    /// History-keyed back-off policy for the slow write / fallback CAS
-    /// probes. [`ContentionConfig::naive`] restores the pre-manager
-    /// fixed cadence (the fallback-storm ablation);
-    /// [`ContentionConfig::minimal`] bounds model-checked state spaces.
-    pub fn contention(mut self, contention: ContentionConfig) -> Self {
-        self.cfg.contention = contention;
-        self
-    }
-
     /// Deterministic validation period at check-points (`0` disables).
     pub fn checkpoint_period(mut self, period: u64) -> Self {
         self.cfg.checkpoint_period = period;
@@ -219,23 +204,6 @@ mod tests {
         assert_eq!(SoleroConfig::builder().retries(0).build().fallback_threshold, 1);
         // Defaults flow through untouched.
         assert_eq!(SoleroConfig::builder().build(), SoleroConfig::default());
-    }
-
-    #[test]
-    fn contention_knob_round_trips() {
-        assert_eq!(
-            SoleroConfig::default().contention,
-            ContentionConfig::default()
-        );
-        let naive = SoleroConfig::builder()
-            .contention(ContentionConfig::naive())
-            .build();
-        assert_eq!(naive.contention, ContentionConfig::naive());
-        assert_eq!(naive.contention.shift_cap, 0, "naive mode never escalates");
-        let minimal = SoleroConfig::builder()
-            .contention(ContentionConfig::minimal())
-            .build();
-        assert_eq!(minimal.contention.attempts, 2);
     }
 
     #[test]

@@ -60,8 +60,7 @@
 //!   for small `Copy` read-mostly payloads: the payload follows the
 //!   sequence word (no heap indirection), readers run the same elision
 //!   driver as [`SoleroLock`] over the even/odd word, and writers
-//!   contend under the history-keyed back-off of
-//!   [`ContentionConfig`](solero_runtime::contention::ContentionConfig);
+//!   contend on the same spin tiers as every other lock;
 //! * [`SyncStrategy`] with [`LockStrategy`], [`RwStrategy`] (over any
 //!   [`RawRwLock`]: the `RWLock` baseline [`JavaRwLock`] or the BRAVO
 //!   biased lock [`BravoLock`]), [`SoleroStrategy`] — the lock

@@ -535,40 +535,6 @@ impl<'a> CompactRef<'a> {
         false
     }
 
-    /// Acquires the lock for a read section the adaptive policy
-    /// forfeited. The section runs under the real lock, like an
-    /// unelided read, but it first waits out a flat holder on the read
-    /// side's spin tiers (Figure 8), as a speculative read section
-    /// does, instead of going straight to the writer path, whose
-    /// contention manager may park it.
-    ///
-    /// While a forfeit window lasts, every reader of the lock takes
-    /// this path. Had forfeited readers contended as writers, the loser
-    /// would park and inflate the lock, the next speculating reader
-    /// would book an `inflation` abort and forfeit again, and readers
-    /// alone would keep the lock fat and elision disabled after the
-    /// writers had gone. An inflated or contended word, recursion, or a
-    /// holder that outlasts the spin tiers still goes through the
-    /// writer's acquisition, uncounted: the section is booked as a read.
-    pub(crate) fn acquire_forfeited(self, tid: ThreadId) {
-        let flat = self.config().spin.run(|| {
-            let v = self.load(Ordering::Acquire);
-            if v.is_elidable() {
-                if self.try_acquire(v, tid) {
-                    return Probe::Done(true);
-                }
-                Probe::Retry
-            } else if v.needs_monitor() || v.tid() == Some(tid) {
-                Probe::Done(false)
-            } else {
-                Probe::Retry
-            }
-        });
-        if flat != Some(true) {
-            self.acquire_uncounted(tid);
-        }
-    }
-
     /// Releases a writing critical section (Figure 6, lines 15–21).
     #[inline]
     pub(crate) fn release(self, tid: ThreadId) {
@@ -602,33 +568,28 @@ impl<'a> CompactRef<'a> {
                 }
                 continue;
             }
-            // Held by another thread (or FLC pending): probe, then
-            // park. The conventional lock probes on Figure 3's tiers. A
-            // SOLERO writer probes under the history-keyed contention
-            // manager (arXiv 1305.5800 — a contended CAS convoy is
-            // exactly where the naive fixed spin collapsed); this is
-            // also the path the retry-exhausted read fallback takes, so
-            // fallback storms back off instead of stampeding the word.
-            let probe = || {
-                let v = self.load(Ordering::Acquire);
-                if v.is_elidable() {
-                    if self.try_acquire(v, tid) {
-                        return Probe::Done(true);
+            // Held by another thread (or FLC pending): probe on Figure
+            // 3's tiers, then park. Every lock on this word waits here:
+            // a SOLERO or conventional writer, the retry-exhausted read
+            // fallback and a forfeited read section.
+            let spun = self.config().spin.run_observed(
+                || {
+                    let v = self.load(Ordering::Acquire);
+                    if v.is_elidable() {
+                        if self.try_acquire(v, tid) {
+                            return Probe::Done(true);
+                        }
+                    } else if v.needs_monitor() {
+                        return Probe::Done(false);
                     }
-                } else if v.needs_monitor() {
-                    return Probe::Done(false);
-                }
-                Probe::Retry
-            };
-            let spun = if self.step == 0 {
-                self.config().spin.run(probe)
-            } else {
-                self.config().contention.run_observed(probe, |_| {
+                    Probe::Retry
+                },
+                || {
                     self.stats()
                         .contention_backoffs
                         .fetch_add(1, Ordering::Relaxed);
-                })
-            };
+                },
+            );
             if spun == Some(true) || self.enter_via_monitor(tid) {
                 return;
             }
@@ -1034,6 +995,108 @@ mod tests {
         assert!(w.counter().unwrap() >= before + 3);
         let s = l.stats().snapshot();
         assert!(s.flc_waits + s.inflations >= 1, "{s}");
+    }
+
+    /// Lets `write` contend on this thread for a lock that `hold` takes
+    /// on another, and returns the back-off waits the lock booked. The
+    /// two threads meet at a barrier once the lock is held; the holder
+    /// lets go once the writer has booked a wait (`waits`) or, when
+    /// none is expected, once the writer has entered and had a moment
+    /// to probe. Deadline-capped, so a regression fails the caller's
+    /// assert, not the clock.
+    fn contended_backoffs(
+        stats: &LockStats,
+        waits: bool,
+        hold: impl FnOnce(&dyn Fn()) + Send,
+        write: impl FnOnce(),
+    ) -> u64 {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                hold(&|| {
+                    barrier.wait();
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while std::time::Instant::now() < deadline {
+                        let s = stats.snapshot();
+                        // The holder's own section is one write entry.
+                        let done = if waits {
+                            s.contention_backoffs > 0
+                        } else {
+                            s.write_enters > 1
+                        };
+                        if done {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                    if !waits {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                })
+            });
+            barrier.wait();
+            write();
+        });
+        stats.snapshot().contention_backoffs
+    }
+
+    /// Every contended writer probes on the spin tiers and books each
+    /// tier-1 wait: SOLERO's, the conventional lock's and the inline
+    /// seqlock's. `SpinConfig::immediate()` probes once and books none,
+    /// because no wait follows the final probe.
+    #[test]
+    fn contended_writers_book_their_tier1_waits() {
+        for (spin, waits) in [
+            (SpinConfig::default(), true),
+            (SpinConfig::immediate(), false),
+        ] {
+            let config = SoleroConfig {
+                spin,
+                ..SoleroConfig::default()
+            };
+            let solero = SoleroLock::with_config(config);
+            let tasuki = TasukiLock {
+                word: AtomicU64::new(CompactWord::INIT.raw()),
+                space: CompactSpace::with_config(config),
+                gen: next_lock_gen(),
+            };
+            let seq = crate::SeqLock::with_config(config, 0u64);
+            let booked = [
+                (
+                    "SOLERO",
+                    contended_backoffs(
+                        solero.stats(),
+                        waits,
+                        |hold| solero.write(hold),
+                        || solero.write(|| {}),
+                    ),
+                ),
+                (
+                    "Lock",
+                    contended_backoffs(
+                        tasuki.stats(),
+                        waits,
+                        |hold| {
+                            let _g = tasuki.lock();
+                            hold()
+                        },
+                        || drop(tasuki.lock()),
+                    ),
+                ),
+                (
+                    "SeqLock",
+                    contended_backoffs(
+                        seq.stats(),
+                        waits,
+                        |hold| seq.update_inline(|_| hold()),
+                        || seq.write_inline(1),
+                    ),
+                ),
+            ];
+            for (lock, n) in booked {
+                assert_eq!(n > 0, waits, "{lock} on {spin:?} booked {n} waits");
+            }
+        }
     }
 
     #[test]

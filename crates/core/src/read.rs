@@ -170,8 +170,8 @@ pub trait LockWord<'a>: Copy {
     fn fallback_acquire(self, tid: ThreadId) -> u64;
 
     /// Acquisition for a section that runs unelided or that the
-    /// adaptive policy `forfeited`; returns its `v`.
-    fn acquire_unelided(self, tid: ThreadId, forfeited: bool) -> u64;
+    /// adaptive policy forfeited; returns its `v`.
+    fn acquire_unelided(self, tid: ThreadId) -> u64;
 
     /// Release of an [`acquire_unelided`](Self::acquire_unelided)
     /// section.
@@ -230,7 +230,7 @@ pub trait LockWord<'a>: Copy {
         let config = self.config();
         stats.note_read_enter();
         if config.elision == ElisionMode::NoElide {
-            return self.read_unelided(false, f);
+            return self.read_unelided(f);
         }
         // Adaptive consult: a forfeited entry acquires instead of
         // speculating. No speculation starts, so this is NOT an abort —
@@ -242,7 +242,7 @@ pub trait LockWord<'a>: Copy {
                 if rearmed {
                     stats.policy_rearms.fetch_add(1, Ordering::Relaxed);
                 }
-                return self.read_unelided(true, f);
+                return self.read_unelided(f);
             }
         }
         // Figure 7, lines 1–8, inlined.
@@ -270,15 +270,14 @@ pub trait LockWord<'a>: Copy {
 
     /// Unelided execution: the read section runs under the acquired
     /// lock (the Figure 10 ablation). A section the adaptive policy
-    /// `forfeited` runs the same way.
+    /// forfeited runs the same way.
     #[cold]
     fn read_unelided<R>(
         self,
-        forfeited: bool,
         mut f: impl FnMut(&mut ReadSession<'a, Self>) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let tid = ThreadId::current();
-        let v = self.acquire_unelided(tid, forfeited);
+        let v = self.acquire_unelided(tid);
         let r = f(&mut ReadSession::new(self, v, true));
         self.release_unelided(tid, v);
         r
@@ -538,16 +537,11 @@ impl<'a> LockWord<'a> for CompactRef<'a> {
         0
     }
 
-    /// Unelided-SOLERO acquires as a writer does, but books no write
-    /// entry: `read_section` already booked the section as a read. A
-    /// forfeited section goes through
-    /// [`acquire_forfeited`](CompactRef::acquire_forfeited).
-    fn acquire_unelided(self, tid: ThreadId, forfeited: bool) -> u64 {
-        if forfeited {
-            self.acquire_forfeited(tid);
-        } else {
-            self.acquire_uncounted(tid);
-        }
+    /// Unelided-SOLERO and a forfeited section acquire as a writer
+    /// does, on the same tiers, but book no write entry:
+    /// `read_section` already booked the section as a read.
+    fn acquire_unelided(self, tid: ThreadId) -> u64 {
+        self.acquire_uncounted(tid);
         0
     }
 

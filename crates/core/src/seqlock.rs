@@ -19,9 +19,8 @@
 //!   at entry is `locked_at_entry` once it frees up within the spin
 //!   tiers, and a retry-exhausted fallback when it does not;
 //! * there is no owner, recursion or monitor: a held section is a CAS of
-//!   the even word to odd, contending under the history-keyed
-//!   [`ContentionConfig`](solero_runtime::contention::ContentionConfig)
-//!   back-off, and the displaced even word rides in the section;
+//!   the even word to odd, contending on the same spin tiers as every
+//!   other writer, and the displaced even word rides in the section;
 //! * writers, and closure sections that hold the word (they may have
 //!   upgraded and written), release with `+2`. A *typed* read that held
 //!   the word — a fallback, an unelided read, a policy skip — wrote
@@ -142,8 +141,8 @@ impl<T: SeqData> SeqLock<T> {
 
     /// A lock around `init` with explicit configuration. The relevant
     /// knobs are `barrier`, `fallback_threshold`, `spin` (the odd-word
-    /// entry wait), `contention` (the writer CAS), `checkpoint_period`,
-    /// and `adaptive`; `elision` disables speculation entirely.
+    /// entry wait and the writer CAS), `checkpoint_period`, and
+    /// `adaptive`; `elision` disables speculation entirely.
     pub fn with_config(config: SoleroConfig, init: T) -> Self {
         let lock = SeqLock {
             seq: AtomicU64::new(0),
@@ -318,16 +317,16 @@ impl SeqRef<'_> {
         self.try_lock().unwrap_or_else(|| self.lock_slow())
     }
 
-    /// Contended acquisition under the history-keyed back-off.
+    /// Contended acquisition on the spin tiers.
     #[cold]
     fn lock_slow(self) -> u64 {
         loop {
-            let got = self.config().contention.run_observed(
+            let got = self.config().spin.run_observed(
                 || match self.try_lock() {
                     Some(v) => Probe::Done(v),
                     None => Probe::Retry,
                 },
-                |_| {
+                || {
                     self.stats()
                         .contention_backoffs
                         .fetch_add(1, Ordering::Relaxed);
@@ -336,9 +335,9 @@ impl SeqRef<'_> {
             if let Some(v) = got {
                 return v;
             }
-            // Attempts exhausted. The inline lock has no monitor tier
-            // to inflate to; yield and re-enter the managed probes (the
-            // per-thread history keeps the renewed cadence polite).
+            // Tiers exhausted. The inline lock has no monitor tier to
+            // inflate to; yield, as between tier-3 rounds, and re-enter
+            // the probes.
             #[cfg(not(solero_mc))]
             std::thread::yield_now();
         }
@@ -411,7 +410,7 @@ impl<'a> LockWord<'a> for SeqRef<'a> {
         self.lock()
     }
 
-    fn acquire_unelided(self, _tid: ThreadId, _forfeited: bool) -> u64 {
+    fn acquire_unelided(self, _tid: ThreadId) -> u64 {
         self.lock()
     }
 

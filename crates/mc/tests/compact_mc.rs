@@ -27,15 +27,14 @@
 //! The space is drained three ways — exhaustive DFS with bounded
 //! preemptions, DPOR, and a DPOR pass with TSO store buffers aimed at
 //! the deflater's displaced-word store racing the reader's exit
-//! validation. Scenarios run `SpinConfig::immediate()` +
-//! `ContentionConfig::minimal()` so the bounded spaces stay drainable.
+//! validation. Scenarios run `SpinConfig::immediate()` so the bounded
+//! spaces stay drainable.
 #![cfg(solero_mc)]
 
 use std::sync::Arc;
 
 use solero::{CompactLock, CompactSpace, Fault, SoleroConfig};
 use solero_mc::{spawn, Checker};
-use solero_runtime::contention::ContentionConfig;
 use solero_runtime::spin::SpinConfig;
 use solero_runtime::word::COMPACT_CTR_STEP;
 use solero_sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +43,6 @@ fn mc_space() -> CompactSpace {
     CompactSpace::with_config(
         SoleroConfig::builder()
             .spin(SpinConfig::immediate())
-            .contention(ContentionConfig::minimal())
             .build(),
     )
 }

@@ -16,21 +16,18 @@ use std::sync::Arc;
 use solero::{Fault, SoleroConfig, SoleroLock};
 use solero_heap::{ClassId, Heap, ObjRef};
 use solero_mc::{spawn, Checker};
-use solero_runtime::contention::ContentionConfig;
 use solero_runtime::spin::SpinConfig;
 use solero_runtime::word::COMPACT_CTR_STEP as COUNTER_STEP;
 
 const PAIR: ClassId = ClassId::new(7);
 
-/// Minimal-state-space config: no spinning and a two-probe contention
-/// manager, so contention escalates to the monitor in a couple of
-/// steps instead of adding schedule points (the manager's default
-/// 128-probe rounds stretch the fallback-heavy schedules here past the
-/// execution budget).
+/// Minimal-state-space config: one probe and no spinning, so
+/// contention escalates to the monitor in one step instead of adding
+/// schedule points (the default tiers' 128 probes stretch the
+/// fallback-heavy schedules here past the execution budget).
 fn mc_config() -> SoleroConfig {
     SoleroConfig::builder()
         .spin(SpinConfig::immediate())
-        .contention(ContentionConfig::minimal())
         .build()
 }
 

@@ -25,13 +25,11 @@ use std::sync::Arc;
 
 use solero::{mutation, SeqLock, SoleroConfig};
 use solero_mc::{spawn, Checker};
-use solero_runtime::contention::ContentionConfig;
 use solero_runtime::spin::SpinConfig;
 
 fn mc_config() -> SoleroConfig {
     SoleroConfig::builder()
         .spin(SpinConfig::immediate())
-        .contention(ContentionConfig::minimal())
         .build()
 }
 

@@ -28,8 +28,7 @@
 //! is load-bearing: `SKIP_EXIT_REREAD` dies under plain DFS, and the
 //! `Relaxed`-demoted exit load (`WEAK_EXIT_LOAD`) dies under weak
 //! memory — each with a deterministic replay. Scenarios run
-//! `SpinConfig::immediate()` + `ContentionConfig::minimal()` so the
-//! bounded spaces stay drainable.
+//! `SpinConfig::immediate()` so the bounded spaces stay drainable.
 //!
 //! Unlike `SoleroLock`, the inline lock has no monitor to park on: its
 //! fallback is a CAS loop, so a schedule that starves the lock holder
@@ -49,13 +48,11 @@ use std::sync::Arc;
 
 use solero::{SeqLock, SoleroConfig};
 use solero_mc::{spawn, Checker};
-use solero_runtime::contention::ContentionConfig;
 use solero_runtime::spin::SpinConfig;
 
 fn mc_config() -> SoleroConfig {
     SoleroConfig::builder()
         .spin(SpinConfig::immediate())
-        .contention(ContentionConfig::minimal())
         .build()
 }
 

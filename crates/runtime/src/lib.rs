@@ -7,9 +7,8 @@
 //!   whose counter rides inside the held word (the conventional lock
 //!   holds that counter at zero);
 //! * [`thread`] — non-zero thread ids (20 bits in a lock word);
-//! * [`spin`] — the three-tier contention loops of Figure 3;
-//! * [`contention`] — the history-keyed back-off contention manager
-//!   (arXiv 1305.5800) behind the slow write / fallback probes;
+//! * [`spin`] — the three-tier contention loops of Figure 3, the one
+//!   back-off policy behind every contended wait;
 //! * [`osmonitor`] — reentrant Java-style OS monitors and the monitor
 //!   table used by lock inflation;
 //! * [`events`] — asynchronous validation events (the JVM's GC-check
@@ -35,7 +34,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod contention;
 pub mod events;
 pub mod fault;
 pub mod fence;

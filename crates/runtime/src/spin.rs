@@ -7,12 +7,13 @@
 //! * **tier 3** (outermost): yields the CPU between tier-2 rounds.
 //!
 //! When every tier is exhausted the caller escalates (inflates the lock).
-//! The probe is a closure so the same skeleton serves the conventional
-//! lock's contended writer (Figure 3) and the read-side waits — the
-//! SOLERO slow read entry (Figure 8) and a forfeited read section — each
-//! of which exits the loops for different word states. A contended
-//! SOLERO writer probes under the history-keyed contention manager
-//! ([`crate::contention`]) instead.
+//! These tiers are the one back-off policy: the probe is a closure, so
+//! the same skeleton serves every contended wait — a writer's probe
+//! (Figure 3: SOLERO's, the conventional lock's, the seqlock's, and the
+//! retry-exhausted read fallback, which acquires as a writer) and the
+//! SOLERO slow read entry (Figure 8) — each of which exits the loops
+//! for different word states. A writer's probe books its tier-1 waits
+//! through [`SpinConfig::run_observed`].
 //!
 //! The tier-1 busy-wait runs only *between* probes: after the final
 //! probe of a tier-2 round the next action is a yield (or escalation),
@@ -137,9 +138,21 @@ impl SpinConfig {
     /// completed, or `None` when every tier is exhausted and the caller
     /// should escalate.
     pub fn run<T>(&self, probe: impl FnMut() -> Probe<T>) -> Option<T> {
+        self.run_observed(probe, || {})
+    }
+
+    /// [`SpinConfig::run`] with an observer called once per tier-1
+    /// wait, before it spins: the hook a lock uses to book a writer's
+    /// waits in its `contention_backoffs` counter.
+    pub fn run_observed<T>(
+        &self,
+        probe: impl FnMut() -> Probe<T>,
+        mut on_backoff: impl FnMut(),
+    ) -> Option<T> {
         self.run_with(
             probe,
             |iters| {
+                on_backoff();
                 for _ in 0..iters {
                     hint::spin_loop();
                 }
@@ -276,7 +289,7 @@ mod tests {
     }
 
     /// Regression: exhaustion runs exactly tier2 - 1 backoffs per round
-    /// (not tier2), for every shape.
+    /// (not tier2), for every shape, and `run_observed` books each.
     #[test]
     fn backoff_count_is_probes_minus_rounds() {
         for (t1, t2, t3) in [(1u32, 1u32, 1u32), (4, 2, 3), (64, 32, 4), (0, 5, 2)] {
@@ -300,6 +313,10 @@ mod tests {
             assert_eq!(probes, cfg.max_probes());
             assert_eq!(backoffs, u64::from(t3) * u64::from(t2.saturating_sub(1)));
             assert_eq!(yields, u64::from(t3.saturating_sub(1)));
+            let mut observed = 0u64;
+            let got: Option<()> = cfg.run_observed(|| Probe::Retry, || observed += 1);
+            assert_eq!(got, None);
+            assert_eq!(observed, backoffs, "the observer sees every tier-1 wait");
         }
     }
 

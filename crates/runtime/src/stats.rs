@@ -296,9 +296,9 @@ counters! {
     /// the uncontended-slow-path threshold was met. Zero for every
     /// non-BRAVO lock.
     bias_rebiases: shared,
-    /// Back-off waits taken by the history-keyed contention manager on
-    /// the slow write / retry-exhausted fallback path (arXiv 1305.5800).
-    /// Zero while every probe succeeds without waiting.
+    /// Tier-1 back-off waits taken by a contended writer's probe
+    /// (Figure 3's spin tiers), on the slow write and retry-exhausted
+    /// fallback paths. Zero while every probe succeeds without waiting.
     contention_backoffs: shared,
 }
 

@@ -198,7 +198,6 @@ for seed in "${PINNED_SEEDS[@]}"; do
         --test model_based \
         --test random_programs \
         --test adaptive_policy_props \
-        --test contention_props \
         --test stats_export_props \
         --test stats_stripes_props
 done

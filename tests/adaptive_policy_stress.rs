@@ -9,7 +9,6 @@
 //! overrides the root (scripts/ci.sh pins one for the record).
 
 use solero::{SoleroConfig, SoleroStrategy};
-use solero_runtime::contention::ContentionConfig;
 use solero_testkit::{seed_matrix, seed_override};
 use solero_workloads::bursty::{BurstyBench, BurstyConfig, Phase, PhaseReport, PHASES};
 
@@ -23,22 +22,9 @@ const BURST_CEILING: f64 = 0.55;
 const RECOVERY_FLOOR: f64 = 0.90;
 
 fn run_one(name: &str, seed: u64) -> Vec<PhaseReport> {
-    // The burst's hostility depends on losing writers parking promptly:
-    // the park inflates the lock, and the fat word is what keeps
-    // speculating readers aborting for the whole phase. The default
-    // contention manager is *too polite* for this workload on a small
-    // host — its back-off lets the loser re-acquire by CAS without ever
-    // parking, the lock never inflates, and readers elide clean through
-    // the writers' gaps (zero aborts, nothing for the policy to react
-    // to). `minimal()` restores the prompt-park regime these thresholds
-    // were calibrated against; the manager itself is exercised by
-    // `contention_props` and `fallback_storm_stress`.
     let bench = BurstyBench::new(BurstyConfig::stress(), || {
         Box::new(SoleroStrategy::configured(
-            SoleroConfig::builder()
-                .adaptive(true)
-                .contention(ContentionConfig::minimal())
-                .build(),
+            SoleroConfig::builder().adaptive(true).build(),
         ))
     });
     let reports = bench.run_trajectory(&PHASES, seed);
