@@ -349,7 +349,11 @@ mod tests {
         assert!(r.is_locked());
         r.exit_write(tid);
         assert!(!r.is_locked());
-        assert_eq!(r.raw_word().counter(), Some(1));
+        assert_eq!(
+            r.raw_word().counter(),
+            Some(3),
+            "each nested write section advances the counter"
+        );
     }
 
     #[test]

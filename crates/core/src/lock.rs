@@ -8,7 +8,9 @@
 //!   `tid | LOCK_BIT` beside the counter; otherwise take the slow path;
 //! * **release**: if `(word & 0xff) == LOCK_BIT`, store the held word's
 //!   counter plus one step — the sequence counter advances so
-//!   concurrent speculative readers observe a changed value.
+//!   concurrent speculative readers observe a changed value. Only a
+//!   section that wrote releases this way: a held read section stores
+//!   the counter plus zero, the word it found (see [`crate::read`]).
 //!
 //! The paper's Figure 5 word keeps the pre-acquisition counter (the
 //! *local lock variable* `v1`) outside the word while the lock is held;
@@ -541,7 +543,8 @@ impl<'a> CompactRef<'a> {
         let v = self.load(Ordering::Relaxed);
         if v.fast_releasable() {
             debug_assert_eq!(v.tid(), Some(tid), "release by non-owner");
-            self.word.store(self.release_word(v), Ordering::Release);
+            self.word
+                .store(self.release_word(v, self.step), Ordering::Release);
             return;
         }
         out_of_line(move || self.slow_release(tid, v));
@@ -549,7 +552,7 @@ impl<'a> CompactRef<'a> {
 
     /// Slow write acquisition: recursion, spinning, FLC, fat mode.
     #[cold]
-    pub(crate) fn slow_acquire(self, tid: ThreadId) {
+    fn slow_acquire(self, tid: ThreadId) {
         loop {
             let v = self.load(Ordering::Acquire);
             if v.is_inflated() {
@@ -727,38 +730,30 @@ impl<'a> CompactRef<'a> {
     #[cold]
     fn slow_release(self, tid: ThreadId, v: CompactWord) {
         if v.is_inflated() {
-            // Every fat-mode *writing* release advances the displaced
-            // counter so deflation never republishes a captured value.
-            // The conventional lock's step is zero, so it has nothing
-            // to advance and skips the monitor lookup.
-            if self.step != 0 {
-                let m = self
-                    .monitor_existing()
-                    .expect("fat owner's monitor must be tabled");
-                debug_assert!(m.owned_by(tid), "fat release by non-owner");
-                m.bump_displaced(self.step);
-            }
-            self.exit_fat(tid);
-            return;
+            self.exit_fat(tid, self.step);
+        } else {
+            self.release_flat(tid, v, self.step);
         }
-        self.release_flat(tid, v);
     }
 
-    /// Releases the flat lock `tid` holds as `v` (Figure 9, lines 2–8):
-    /// pop one recursion level, or publish the release word — under the
-    /// monitor, waking the contenders, if one of them set FLC while we
-    /// held the lock. Lookup-only: the contender that set FLC tabled
-    /// the entry and is parked on it; if the entry is somehow gone
-    /// there is nobody to wake and a plain store suffices (creating an
-    /// entry here would leak it).
-    pub(crate) fn release_flat(self, tid: ThreadId, v: CompactWord) {
+    /// Releases the flat lock `tid` holds as `v` (Figure 9, lines 2–8),
+    /// advancing the counter by `step`: the handle's step for a section
+    /// that wrote, zero for a held read. It pops one recursion level
+    /// (a nested write still advances the counter inside the held word,
+    /// so the outer section's release publishes it), or publishes the
+    /// release word — under the monitor, waking the contenders, if one
+    /// of them set FLC while we held the lock. Lookup-only: the
+    /// contender that set FLC tabled the entry and is parked on it; if
+    /// the entry is somehow gone there is nobody to wake and a plain
+    /// store suffices (creating an entry here would leak it).
+    pub(crate) fn release_flat(self, tid: ThreadId, v: CompactWord, step: u64) {
         debug_assert_eq!(v.tid(), Some(tid), "release by non-owner");
         if v.recursion() > 0 {
             self.word
-                .fetch_sub(SOLERO_RECURSION_STEP, Ordering::Release);
+                .fetch_add(step.wrapping_sub(SOLERO_RECURSION_STEP), Ordering::Release);
             return;
         }
-        let next = self.release_word(v);
+        let next = self.release_word(v, step);
         let parked = if v.has_flc() {
             self.monitor_existing()
         } else {
@@ -776,18 +771,20 @@ impl<'a> CompactRef<'a> {
     }
 
     /// Figure 6, line 18: the word a flat release publishes — the held
-    /// word's counter advanced one step, owner and flag bits dropped —
-    /// which is what aborts any reader that overlapped the section.
+    /// word's counter advanced by `step`, owner and flag bits dropped.
+    /// A section that wrote passes the handle's step, which is what
+    /// aborts any reader that overlapped it; a held read passes zero
+    /// and publishes the counter it found.
     ///
     /// Under `--cfg solero_mc` this is a mutation point the model
     /// checker must kill (see `crate::mutation`).
     #[inline]
-    fn release_word(self, held: CompactWord) -> u64 {
+    fn release_word(self, held: CompactWord, step: u64) -> u64 {
         #[cfg(solero_mc)]
         if crate::mutation::active() == crate::mutation::STUCK_COUNTER {
             return held.release_word(0).raw();
         }
-        self.released(held)
+        held.release_word(step).raw()
     }
 
     /// The free word that follows the thin word `held`: its counter plus
@@ -798,9 +795,12 @@ impl<'a> CompactRef<'a> {
         held.release_word(self.step).raw()
     }
 
-    /// Final fat release: deflates when the monitor is uncontended —
-    /// prune the table entry **first**, then publish the displaced
-    /// counter, then wake and exit.
+    /// Fat release of one level, advancing the displaced counter by
+    /// `step` (the handle's step for a section that wrote, so deflation
+    /// never republishes a captured value; zero for a held read). The
+    /// final release deflates when the monitor is uncontended — prune
+    /// the table entry **first**, then publish the displaced counter,
+    /// then wake and exit.
     ///
     /// The ordering matters: once the entry is gone, a contender that
     /// still sees the inflated word resolves no monitor and retries,
@@ -810,12 +810,15 @@ impl<'a> CompactRef<'a> {
     /// therefore benign. The deflation guard itself is TOCTOU-safe:
     /// queued contenders re-check the word after our monitor exit, and
     /// new waiters are impossible while we own the monitor.
-    pub(crate) fn exit_fat(self, tid: ThreadId) {
+    pub(crate) fn exit_fat(self, tid: ThreadId, step: u64) {
         let table = MonitorTable::global();
         let m = table
             .existing(self.key)
             .expect("fat owner's monitor must be tabled");
         debug_assert!(m.owned_by(tid), "fat release by non-owner");
+        if step != 0 {
+            m.bump_displaced(step);
+        }
         if m.depth(tid) == 1 && m.idle_for_deflation() {
             let removed = table.remove_if(self.key, &m);
             debug_assert!(removed, "deflater's binding must still be current");
@@ -911,7 +914,11 @@ mod tests {
         assert!(l.is_locked());
         l.exit_write(tid, t1);
         assert!(!l.is_locked());
-        assert_eq!(l.raw_word().counter(), Some(1));
+        assert_eq!(
+            l.raw_word().counter(),
+            Some(3),
+            "each nested write section advances the counter"
+        );
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! * there is no owner, recursion or monitor: a held section is a CAS of
 //!   the even word to odd, contending on the same spin tiers as every
 //!   other writer, and the displaced even word rides in the section;
-//! * writers, and closure sections that hold the word (they may have
-//!   upgraded and written), release with `+2`. A *typed* read that held
-//!   the word — a fallback, an unelided read, a policy skip — wrote
-//!   nothing and **restores the displaced even word** instead, so
-//!   concurrent speculative readers spanning it may still validate.
+//! * writers, and read sections that called `ensure_write`, release
+//!   with `+2`. Any other held read — a fallback, an unelided read, a
+//!   policy skip — wrote nothing and **restores the displaced even
+//!   word**, so concurrent speculative readers spanning it may still
+//!   validate, after waiting it out if their exit finds it held.
 //!
 //! The payload lives in `solero_sync` atomics, so under
 //! `--cfg solero_mc` every payload word load/store is a scheduling
@@ -49,7 +49,7 @@ use crate::adaptive::AdaptivePolicy;
 use crate::compact::CompactSpace;
 use crate::config::SoleroConfig;
 use crate::read::LockWord;
-use crate::session::WriteIntent;
+use crate::session::{Hold, WriteIntent};
 use crate::strategy::SyncStrategy;
 
 /// Inline payload capacity in 64-bit words (64 bytes).
@@ -155,16 +155,13 @@ impl<T: SeqData> SeqLock<T> {
         lock
     }
 
-    /// The read driver's handle on this lock's word. `restore` picks
-    /// how a held section releases: typed reads restore the displaced
-    /// word, closure sections bump it.
+    /// The read driver's handle on this lock's word.
     #[inline]
-    fn handle(&self, restore: bool) -> SeqRef<'_> {
+    fn handle(&self) -> SeqRef<'_> {
         SeqRef {
             word: &self.seq,
             space: &self.space,
             policy: self.policy.as_ref(),
-            restore,
         }
     }
 
@@ -237,7 +234,7 @@ impl<T: SeqData> SeqLock<T> {
     /// Counted writer entry for the write-section APIs. Returns the
     /// displaced even word.
     fn writer_acquire(&self) -> u64 {
-        let h = self.handle(false);
+        let h = self.handle();
         h.stats().write_enters.fetch_add(1, Ordering::Relaxed);
         match h.try_lock() {
             Some(v) => {
@@ -250,7 +247,7 @@ impl<T: SeqData> SeqLock<T> {
 
     /// Writing release: publish the payload and the next even word.
     fn writer_release(&self, displaced: u64) {
-        self.handle(false).unlock(displaced);
+        self.handle().unlock(displaced);
     }
 
     // ---- typed inline fast paths --------------------------------------
@@ -260,7 +257,7 @@ impl<T: SeqData> SeqLock<T> {
     /// per the SOLERO taxonomy.
     pub fn read_inline(&self) -> T {
         let mut value = None;
-        let read = self.handle(true).read_section(|_| {
+        let read = self.handle().read_section(|_| {
             value = Some(Self::decode(&self.load_words()));
             Ok(())
         });
@@ -292,11 +289,6 @@ pub(crate) struct SeqRef<'a> {
     word: &'a AtomicU64,
     space: &'a CompactSpace,
     policy: Option<&'a AdaptivePolicy>,
-    /// True if a held section restores the displaced word on exit (a
-    /// typed read, which wrote nothing); false if it bumps it by 2 like
-    /// a writer (a closure section, which may have upgraded and
-    /// written).
-    restore: bool,
 }
 
 impl SeqRef<'_> {
@@ -348,15 +340,6 @@ impl SeqRef<'_> {
         self.word
             .store(displaced.wrapping_add(2), Ordering::Release);
     }
-
-    /// Releases a held read section that displaced `v`.
-    fn held_exit(self, v: u64) {
-        if self.restore {
-            self.word.store(v, Ordering::Release);
-        } else {
-            self.unlock(v);
-        }
-    }
 }
 
 impl<'a> LockWord<'a> for SeqRef<'a> {
@@ -380,10 +363,15 @@ impl<'a> LockWord<'a> for SeqRef<'a> {
         raw & 1 == 0
     }
 
+    /// The odd word one past `v`.
+    fn held_over(v: u64, raw: u64) -> bool {
+        raw == v + 1
+    }
+
     /// Figure 8-style bounded wait for an even word; a wait that
     /// exhausts the spin tiers falls back.
     #[cold]
-    fn slow_read_enter(self, _tid: ThreadId) -> Option<(u64, bool)> {
+    fn slow_read_enter(self, _tid: ThreadId) -> Option<(u64, Hold)> {
         self.stats()
             .read_slow_enters
             .fetch_add(1, Ordering::Relaxed);
@@ -395,27 +383,23 @@ impl<'a> LockWord<'a> for SeqRef<'a> {
                 Probe::Retry
             }
         })?;
-        Some((v, false))
+        Some((v, Hold::Speculative))
     }
 
-    /// No owner to consult: only a held section releases.
-    fn slow_read_exit(self, _tid: ThreadId, v: u64, held: bool) -> bool {
-        if held {
-            self.held_exit(v);
+    /// No owner to consult: only a held section releases. It restores
+    /// the even word it displaced, or publishes the next one if it
+    /// wrote.
+    fn slow_read_exit(self, _tid: ThreadId, v: u64, held: Hold) -> bool {
+        match held {
+            Hold::Speculative => return false,
+            Hold::Held => self.word.store(v, Ordering::Release),
+            Hold::Wrote => self.unlock(v),
         }
-        held
+        true
     }
 
-    fn fallback_acquire(self, _tid: ThreadId) -> u64 {
+    fn acquire_held(self, _tid: ThreadId) -> u64 {
         self.lock()
-    }
-
-    fn acquire_unelided(self, _tid: ThreadId) -> u64 {
-        self.lock()
-    }
-
-    fn release_unelided(self, _tid: ThreadId, v: u64) {
-        self.held_exit(v);
     }
 
     fn try_upgrade(self, v: u64, _tid: ThreadId) -> bool {
@@ -498,14 +482,14 @@ impl<T: SeqData> SyncStrategy for SeqStrategy<T> {
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        self.lock.handle(false).read_section(|s| f(s))
+        self.lock.handle().read_section(|s| f(s))
     }
 
     fn mostly_section<R>(
         &self,
         mut f: impl FnMut(&mut dyn WriteIntent) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
-        self.lock.handle(false).read_section(|s| f(s))
+        self.lock.handle().read_section(|s| f(s))
     }
 
     fn snapshot(&self) -> StatsSnapshot {
@@ -611,6 +595,28 @@ mod tests {
     }
 
     #[test]
+    fn held_closure_sections_advance_only_when_they_write() {
+        let s = SeqStrategy::configured(SoleroConfig::builder().unelided(true).build(), 0u64);
+        let s0 = s.lock().raw_seq();
+        s.read_section(|ck| {
+            assert!(!ck.is_speculative());
+            Ok::<_, Fault>(())
+        })
+        .unwrap();
+        assert_eq!(s.lock().raw_seq(), s0, "a held closure read restores");
+        s.mostly_section(|ck| {
+            ck.ensure_write()?;
+            Ok::<_, Fault>(())
+        })
+        .unwrap();
+        assert_eq!(
+            s.lock().raw_seq(),
+            s0 + 2,
+            "a held section that wrote advances"
+        );
+    }
+
+    #[test]
     fn concurrent_pairs_are_never_torn() {
         let l = Arc::new(SeqLock::new([0u64; 2]));
         std::thread::scope(|sc| {
@@ -692,7 +698,7 @@ mod tests {
     fn genuine_fault_propagates_once() {
         let l = SeqLock::new(0u64);
         let mut runs = 0;
-        let r: Result<(), Fault> = l.handle(false).read_section(|_| {
+        let r: Result<(), Fault> = l.handle().read_section(|_| {
             runs += 1;
             Err(Fault::NullPointer)
         });
@@ -706,7 +712,7 @@ mod tests {
         let l2 = Arc::clone(&l);
         let mut attempt = 0;
         let r = l
-            .handle(false)
+            .handle()
             .read_section(|s| {
                 attempt += 1;
                 if attempt == 1 {
@@ -743,7 +749,7 @@ mod tests {
         let l2 = Arc::clone(&l);
         let mut attempt = 0;
         let r = l
-            .handle(false)
+            .handle()
             .read_section(|s| {
                 attempt += 1;
                 if attempt == 1 {
@@ -785,7 +791,7 @@ mod tests {
         let l2 = Arc::clone(&l);
         let hits = StdAtomicU64::new(0);
         let mut attempt = 0;
-        l.handle(false)
+        l.handle()
             .read_section(|s| {
                 attempt += 1;
                 if attempt == 1 {

@@ -68,6 +68,23 @@ impl Checkpoint for NullCheckpoint {
     }
 }
 
+/// Whether a read attempt holds the lock, and whether it wrote: what
+/// its exit must do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hold {
+    /// Running without the lock: the exit validates.
+    Speculative,
+    /// Holding the lock (recursion, fat mode, fallback, unelided or
+    /// forfeited) and nothing written: the exit republishes the
+    /// counter it found, so speculative readers spanning the hold may
+    /// still validate.
+    Held,
+    /// Holding the lock after `ensure_write` (an upgrade, or a held
+    /// section that declared a write): the exit advances the counter
+    /// as a writer's does.
+    Wrote,
+}
+
 /// Context of one execution attempt of a read-only critical section.
 ///
 /// Obtained through [`SoleroLock::read_only`](crate::SoleroLock::read_only);
@@ -81,15 +98,15 @@ pub struct ReadSession<'a, W = CompactRef<'a>> {
     pub(crate) lock: W,
     /// The local lock variable (Figure 7's `v`).
     pub(crate) v: u64,
-    /// True if this attempt holds the lock (recursion, fat mode, or
-    /// fallback) — validation is then unnecessary.
-    pub(crate) held: bool,
+    /// Whether this attempt holds the lock (then validation is
+    /// unnecessary) and whether it wrote.
+    pub(crate) held: Hold,
     pub(crate) poll: EventPoll,
     pub(crate) _word: PhantomData<&'a ()>,
 }
 
 impl<'a, W: LockWord<'a>> ReadSession<'a, W> {
-    pub(crate) fn new(lock: W, v: u64, held: bool) -> Self {
+    pub(crate) fn new(lock: W, v: u64, held: Hold) -> Self {
         ReadSession {
             lock,
             v,
@@ -112,7 +129,7 @@ impl<'a, W: LockWord<'a>> ReadSession<'a, W> {
     /// [`Fault::Inconsistent`] when the lock word changed under a
     /// speculative section.
     pub fn validate_now(&self) -> Result<(), Fault> {
-        if self.held {
+        if self.held != Hold::Speculative {
             return Ok(());
         }
         if self.lock.word().load(Ordering::Acquire) == self.v {
@@ -124,24 +141,32 @@ impl<'a, W: LockWord<'a>> ReadSession<'a, W> {
 
     /// Figure 17's upgrade: make the section hold the lock before its
     /// first write. On success all reads so far are validated (the CAS
-    /// only succeeds if the word still equals the captured value).
+    /// only succeeds if the word still equals the captured value). A
+    /// section that already holds the lock is marked as writing, so its
+    /// exit advances the counter.
+    ///
+    /// Under `--cfg solero_mc` the mark is a mutation point the model
+    /// checker must kill (see `crate::mutation`), for every word.
     ///
     /// # Errors
     ///
     /// [`Fault::UpgradeFailed`] when the word changed and the section
     /// must re-execute while holding the lock.
     pub(crate) fn ensure_write(&mut self) -> Result<(), Fault> {
-        if self.held {
-            return Ok(());
+        if self.held == Hold::Speculative {
+            if !self.lock.try_upgrade(self.v, ThreadId::current()) {
+                return Err(Fault::UpgradeFailed);
+            }
+            self.lock
+                .stats()
+                .mostly_upgrades
+                .fetch_add(1, Ordering::Relaxed);
         }
-        if !self.lock.try_upgrade(self.v, ThreadId::current()) {
-            return Err(Fault::UpgradeFailed);
+        self.held = Hold::Wrote;
+        #[cfg(solero_mc)]
+        if crate::mutation::active() == crate::mutation::HELD_EXIT_IGNORES_WRITE {
+            self.held = Hold::Held;
         }
-        self.lock
-            .stats()
-            .mostly_upgrades
-            .fetch_add(1, Ordering::Relaxed);
-        self.held = true;
         Ok(())
     }
 }
@@ -149,7 +174,7 @@ impl<'a, W: LockWord<'a>> ReadSession<'a, W> {
 impl<'a, W: LockWord<'a>> Checkpoint for ReadSession<'a, W> {
     #[inline]
     fn checkpoint(&mut self) -> Result<(), Fault> {
-        if self.held {
+        if self.held != Hold::Speculative {
             return Ok(());
         }
         if self.poll.should_validate() {
@@ -161,7 +186,7 @@ impl<'a, W: LockWord<'a>> Checkpoint for ReadSession<'a, W> {
 
     #[inline]
     fn is_speculative(&self) -> bool {
-        !self.held
+        self.held == Hold::Speculative
     }
 }
 
@@ -205,7 +230,7 @@ impl<'a> MostlySession<'a> {
 
     /// True once the section holds the lock.
     pub fn holds_lock(&self) -> bool {
-        self.0.held
+        self.0.held != Hold::Speculative
     }
 }
 

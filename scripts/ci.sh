@@ -70,8 +70,10 @@ RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
 
 # The mutation-kill harness flips each test-only protocol weakening
 # (skip the exit re-read, demote it to Relaxed, stall the release
-# counter) and requires the checker to report a violating schedule and
-# replay it deterministically; the test fails if any mutant survives.
+# counter, restore the word after a held section wrote, validate an
+# exit wait on any free word) and requires the checker to report a
+# violating schedule and replay it deterministically; the test fails
+# if any mutant survives.
 echo "== tier-1: mc mutation-kill (each weakened protocol must fail) =="
 RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
     cargo test -q --offline -p solero-mc --test mutation_kill
@@ -136,15 +138,17 @@ SOLERO_MC_SEED=0x5EED5705 SOLERO_MC_BUDGET=20000 RUST_BACKTRACE=0 \
 
 # Budgeted inline-seqlock pass: the writer-bump/reader-validate
 # handshake drained three ways (exhaustive DFS, DPOR with two readers,
-# DPOR under TSO store buffers) plus both exit-validation mutation
-# kills (their own binary — the mutation switch is process-global),
-# with SOLERO_MC_BUDGET bounding each search. The seqlock reads run the
-# shared read driver, so these are its mutation points on the sequence
-# word. The cap sits above the SC kill's discovery point (9 967
-# executions) but below the weak-memory one (159 518), so the
-# SKIP_EXIT_REREAD kill is re-proven here and the WEAK_EXIT_LOAD one
-# prints its budget-capped skip; the uncapped completeness run already
-# happened in the main mc step above.
+# DPOR under TSO store buffers) plus the driver's mutation kills on the
+# sequence word (their own binary — the mutation switch is
+# process-global), with SOLERO_MC_BUDGET bounding each search. The
+# seqlock reads run the shared read driver, so these are its mutation
+# points on the sequence word. The cap sits above the SC kills'
+# discovery points (SKIP_EXIT_REREAD at 9 967 executions,
+# HELD_EXIT_IGNORES_WRITE at 8 709, EXIT_WAIT_ANY_FREE at 6 under DPOR)
+# but below the weak-memory one (158 820), so those three kills are
+# re-proven here and the WEAK_EXIT_LOAD one prints its budget-capped
+# skip; the uncapped completeness run already happened in the main mc
+# step above.
 echo "== tier-1: mc inline seqlock handshake + kills (budgeted) =="
 SOLERO_MC_SEED=0x5EED5E01 SOLERO_MC_BUDGET=20000 RUST_BACKTRACE=0 \
     RUSTFLAGS="--cfg solero_mc" CARGO_TARGET_DIR=target/mc \
