@@ -77,7 +77,8 @@ pub trait DynSyncStrategy: Send + Sync {
     /// Point-in-time statistics.
     fn snapshot(&self) -> StatsSnapshot;
 
-    /// Resets the statistics counters.
+    /// Resets the statistics counters; exact only while no section
+    /// runs, as [`SyncStrategy::reset_stats`] says.
     fn reset_stats(&self);
 }
 

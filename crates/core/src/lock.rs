@@ -318,7 +318,9 @@ pub struct TasukiLock {
     /// bytes of the word's start, on its cache line unless the lock
     /// starts in the last 16 bytes of one. A conventional section
     /// writes the word anyway, so then it owns no other line. A read
-    /// section also books `read_enters`, on the caller's read stripe.
+    /// section also books `read_enters`, with a plain store on the
+    /// read stripe its thread owns (or a `fetch_add` on the overflow
+    /// stripe when every other is taken).
     space: CompactSpace,
     /// Process-unique generation nonce; paired with the word address to
     /// key the monitor table, so address reuse never aliases monitors.

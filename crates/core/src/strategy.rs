@@ -69,6 +69,18 @@ pub trait SyncStrategy: Send + Sync {
     fn snapshot(&self) -> StatsSnapshot;
 
     /// Resets the statistics counters.
+    ///
+    /// Exact only while no section runs on the lock: an elided read
+    /// books on a stripe its thread owns with a plain load and store,
+    /// and a bump that straddles the reset undoes it
+    /// ([`LockStats::reset`](solero_runtime::stats::LockStats::reset)).
+    /// Every caller resets a quiescent lock. `solero_workloads`'
+    /// open-loop driver resets its store between its two start
+    /// barriers, after warm-up and before the measured sections;
+    /// `KvStore::reset_stats`, `DynSyncStrategy::reset_stats`, the
+    /// benchmark's traced strategy and the workloads' `reset_stats`
+    /// (`EmptyBench`, `MapBench`, `JbbBench`, `DacapoBench`) forward to
+    /// it; and the unit tests reset after their sections return.
     fn reset_stats(&self);
 }
 

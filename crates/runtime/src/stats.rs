@@ -9,14 +9,23 @@
 //! An elided read-only section writes nothing shared, and its counters
 //! keep it that way. The three counters a validated elided read books
 //! (`read_enters`, `elision_success`, `async_validations`) live in
-//! [`READ_STRIPES`] cache-line stripes out of line, one picked per
-//! thread by its [`ThreadId`], and are bumped only through
-//! [`LockStats::note_read_enter`], [`LockStats::note_elided`] and
-//! [`LockStats::note_async_validation`]. Threads that share a stripe
-//! still count exactly: each bump is a relaxed `fetch_add`. Every other
-//! counter is a field of the lock's shared block. [`LockStats::snapshot`]
-//! and [`LockStats::reset`] fold the stripes in, so a snapshot does not
-//! show where a counter lives.
+//! [`READ_STRIPES`] cache-line stripes out of line and are bumped only
+//! through [`LockStats::note_read_enter`], [`LockStats::note_elided`]
+//! and [`LockStats::note_async_validation`]. A thread claims a stripe
+//! index from a process-wide bitmap the first time it books, and a
+//! thread-local destructor releases the index when the thread exits;
+//! the claim covers that index in every lock's stripes. An owned
+//! stripe has one writer, so its bump is a relaxed load and store, no
+//! locked instruction, and counts stay exact: the bitmap's Release at
+//! exit and Acquire at claim hand a released stripe's counts to its
+//! next owner. Claims take the even indices first, so two claimants'
+//! lines share no 128-byte adjacent-line prefetch pair until more than
+//! half the stripes are taken. The last stripe is never claimed: a
+//! thread that finds every other one taken, or books while its
+//! thread-locals are torn down, shares that overflow stripe and bumps
+//! it with a `fetch_add`. Every other counter is a field of the lock's
+//! shared block. [`LockStats::snapshot`] and [`LockStats::reset`] fold
+//! the stripes in, so a snapshot does not show where a counter lives.
 //!
 //! A [`StatsSnapshot`] is also the unit of the JSONL export, one line
 //! per lock: `{"lock":<id>,"name":"<label>",...}` followed by every
@@ -45,22 +54,83 @@
 
 use core::fmt;
 use core::ops::Range;
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use solero_obs::json::{self, JsonObject, Value};
 use solero_obs::AbortReason;
 
-use crate::thread::ThreadId;
-
-/// Read stripes per [`LockStats`]. A constant, not a setting: enough
-/// that the threads one host runs at once rarely share a stripe, few
-/// enough that a lock's stripes cost 1 KiB.
+/// Read stripes per [`LockStats`], the overflow stripe included. A
+/// constant, not a setting: enough that the threads one host runs at
+/// once rarely need the overflow stripe, few enough that a lock's
+/// stripes cost 1 KiB.
 pub const READ_STRIPES: usize = 16;
 
 /// Heap bytes a [`LockStats`] holds beyond its `size_of`: the
 /// [`READ_STRIPES`] stripes, one cache line each.
 pub const STRIPES_BYTES: usize = READ_STRIPES * std::mem::size_of::<ReadStripe>();
+
+/// The stripe shared by threads without a claim. It is never claimed,
+/// so it is the one stripe with more than one writer.
+const OVERFLOW: usize = READ_STRIPES - 1;
+
+/// A thread's stripe index before its first booking.
+const UNCLAIMED: usize = usize::MAX;
+
+/// The claimed stripe indices, one bit each, across the process.
+static CLAIMED: AtomicU32 = AtomicU32::new(0);
+const _: () = assert!(READ_STRIPES <= u32::BITS as usize);
+
+/// The calling thread's stripe index; dropping it at thread exit
+/// releases the claim.
+struct Claim(Cell<usize>);
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        let i = self.0.get();
+        if i < OVERFLOW {
+            // Release: this owner's bumps happen before the next
+            // owner's first load of the stripe.
+            CLAIMED.fetch_and(!(1 << i), Ordering::Release);
+        }
+    }
+}
+
+thread_local! {
+    static CLAIM: Claim = const { Claim(Cell::new(UNCLAIMED)) };
+}
+
+/// Claims the first free stripe, even indices before odd ones, or
+/// returns [`OVERFLOW`] if every other stripe is taken.
+#[cold]
+fn claim() -> usize {
+    for i in (0..OVERFLOW).step_by(2).chain((1..OVERFLOW).step_by(2)) {
+        let bit = 1 << i;
+        // Acquire: pairs with the Release in `Claim::drop`.
+        if CLAIMED.fetch_or(bit, Ordering::Acquire) & bit == 0 {
+            return i;
+        }
+    }
+    OVERFLOW
+}
+
+/// The calling thread's stripe: the one it claimed at its first
+/// booking, or [`OVERFLOW`] if none was free then or its thread-locals
+/// are being torn down.
+#[inline]
+fn stripe_index() -> usize {
+    CLAIM
+        .try_with(|c| match c.0.get() {
+            UNCLAIMED => {
+                let i = claim();
+                c.0.set(i);
+                i
+            }
+            i => i,
+        })
+        .unwrap_or(OVERFLOW)
+}
 
 /// Splits the counter list into the fields of [`LockStats`]'s shared
 /// block (`shared`) and of one read stripe (`striped`), keeping each
@@ -84,8 +154,9 @@ macro_rules! split_counters {
             stripes: Box<[ReadStripe; READ_STRIPES]>,
         }
 
-        /// One thread group's copy of the striped counters, alone on
-        /// its cache line.
+        /// One owner's copy of the striped counters (or, for the
+        /// overflow stripe, the unclaimed threads'), alone on its
+        /// cache line.
         #[derive(Default)]
         #[repr(C, align(64))]
         struct ReadStripe {
@@ -148,6 +219,13 @@ macro_rules! counters {
             }
 
             /// Resets every counter to zero, in every stripe.
+            ///
+            /// Exact only while no section runs on the lock: an owner
+            /// bumps its stripe with a load and a store, so a bump that
+            /// straddles the reset writes back the count from before
+            /// it. Every caller resets a quiescent lock: the
+            /// `SyncStrategy::reset_stats` impls (whose callers are
+            /// listed there) and the unit and property tests.
             pub fn reset(&self) {
                 $(reset_counter!(self, $kind, $name);)+
             }
@@ -303,35 +381,39 @@ counters! {
 }
 
 impl LockStats {
-    /// The calling thread's stripe.
+    /// Adds one to the counter `pick` selects on the caller's stripe:
+    /// a relaxed load and store on an owned stripe, which only its
+    /// owner writes, and a `fetch_add` on the shared overflow stripe.
     #[inline]
-    fn stripe(&self) -> &ReadStripe {
-        &self.stripes[ThreadId::current().as_u64() as usize % READ_STRIPES]
+    fn bump(&self, pick: impl FnOnce(&ReadStripe) -> &AtomicU64) {
+        let i = stripe_index();
+        let counter = pick(&self.stripes[i]);
+        if i == OVERFLOW {
+            counter.fetch_add(1, Ordering::Relaxed);
+        } else {
+            counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
     }
 
     /// Books one read-only section entry (`read_enters`) on the
     /// caller's stripe.
     #[inline]
     pub fn note_read_enter(&self) {
-        self.stripe().read_enters.fetch_add(1, Ordering::Relaxed);
+        self.bump(|s| &s.read_enters);
     }
 
     /// Books one read-only section that completed elided
     /// (`elision_success`) on the caller's stripe.
     #[inline]
     pub fn note_elided(&self) {
-        self.stripe()
-            .elision_success
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(|s| &s.elision_success);
     }
 
     /// Books one check-point validation triggered by an asynchronous
     /// event (`async_validations`) on the caller's stripe.
     #[inline]
     pub fn note_async_validation(&self) {
-        self.stripe()
-            .async_validations
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(|s| &s.async_validations);
     }
 
     /// The address range of each read stripe, for layout checks: a
@@ -549,6 +631,56 @@ mod tests {
         let names: Vec<&str> = snap.abort_reasons().iter().map(|(n, _)| *n).collect();
         let reasons: Vec<&str> = AbortReason::ALL.iter().map(|r| r.name()).collect();
         assert_eq!(names, reasons, "counter order follows the taxonomy");
+    }
+
+    /// Books one read entry on `stats` from a new thread, joins it and
+    /// returns the stripe it booked on.
+    fn book_on_a_new_thread(stats: &LockStats) -> usize {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                stats.note_read_enter();
+                stripe_index()
+            })
+            .join()
+            .unwrap()
+        })
+    }
+
+    #[test]
+    fn exited_threads_release_their_stripes() {
+        // More claimants than stripes, one at a time. `join` returns
+        // after the thread's destructors ran, so each claim is back
+        // in the bitmap before the next thread starts.
+        let s = LockStats::default();
+        let n = READ_STRIPES as u64 + 4;
+        for _ in 0..n {
+            book_on_a_new_thread(&s);
+        }
+        let fresh = book_on_a_new_thread(&s);
+        assert_ne!(fresh, OVERFLOW, "a fresh thread owns a stripe");
+        // A reused stripe carries its earlier owners' counts.
+        assert_eq!(s.snapshot().read_enters, n + 1);
+    }
+
+    #[test]
+    fn live_claimants_own_stripes_two_lines_apart() {
+        // The adjacent-line prefetcher moves lines in 128-byte pairs,
+        // so two owners in one pair would still pass it between cores.
+        let s = LockStats::default();
+        let both = std::sync::Barrier::new(2);
+        let owner = || {
+            s.note_elided();
+            both.wait(); // both claims are live at once
+            stripe_index()
+        };
+        let (a, b) = std::thread::scope(|sc| {
+            let (a, b) = (sc.spawn(owner), sc.spawn(owner));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a != OVERFLOW && b != OVERFLOW, "stripes {a} and {b}");
+        let bytes = a.abs_diff(b) * std::mem::size_of::<ReadStripe>();
+        assert!(bytes >= 128, "stripes {a} and {b} are {bytes} bytes apart");
+        assert_eq!(s.snapshot().elision_success, 2);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property test for the striped read counters: however many threads
-//! book, and however they share the `READ_STRIPES` stripes, a
-//! snapshot after the join counts every booking of every counter, and
-//! a reset zeroes them all.
+//! book at once, each on a stripe it owns or, once the owned stripes
+//! are taken, on the shared overflow stripe, a snapshot after the join
+//! counts every booking of every counter, and a reset zeroes them all.
 
 use std::sync::atomic::Ordering;
+use std::sync::Barrier;
 
 use solero_runtime::stats::{LockStats, StatsSnapshot, READ_STRIPES};
 use solero_testkit::{forall, TestRng};
@@ -121,13 +122,21 @@ fn book(stats: &LockStats, b: &StatsSnapshot) {
 #[test]
 fn snapshot_counts_every_booking_across_stripes() {
     forall(48, 0x57A7_0101, |g| {
-        // Up to three threads per stripe, so stripes are shared.
+        // Up to three times as many threads as stripes. They book
+        // together and exit together, so every claim is live while any
+        // thread books, and the threads past the owned stripes race on
+        // the overflow stripe.
         let bookings = g.vec(1, 3 * READ_STRIPES + 1, gen_bookings);
         let stats = LockStats::default();
+        let (start, end) = (Barrier::new(bookings.len()), Barrier::new(bookings.len()));
         std::thread::scope(|s| {
             for b in &bookings {
-                let stats = &stats;
-                s.spawn(move || book(stats, b));
+                let (stats, start, end) = (&stats, &start, &end);
+                s.spawn(move || {
+                    start.wait();
+                    book(stats, b);
+                    end.wait();
+                });
             }
         });
         let booked = bookings

@@ -30,8 +30,11 @@ cargo test -q --offline --workspace --no-fail-fast
 # The recursion-bound contracts in solero-runtime::word are real
 # assertions, not debug_asserts; running the suite on the release
 # profile proves they still fire with debug assertions compiled out.
-echo "== tier-1: release-profile runtime asserts (recursion bounds) =="
-cargo test -q --offline --release -p solero-runtime --lib
+# The stripe property test runs here too: racing bumps, which are what
+# expose two writers on one read stripe, are more frequent in an
+# optimized build.
+echo "== tier-1: release-profile runtime asserts (recursion bounds, read stripes) =="
+cargo test -q --offline --release -p solero-runtime --lib --test stats_stripes_props
 
 echo "== tier-1: bench targets compile behind the criterion feature =="
 cargo build -q --offline -p solero-bench --benches --features criterion
