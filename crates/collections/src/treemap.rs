@@ -38,6 +38,26 @@ const NODE_FIELDS: u32 = 6;
 const RED: i64 = 0;
 const BLACK: i64 = 1;
 
+// `child_slot` computes the turn as `N_LEFT + (key > k)`.
+const _: () = assert!(N_RIGHT == N_LEFT + 1);
+
+/// The child slot a descent for `key` takes at a node holding `k`, for
+/// `key != k`: `N_LEFT` below `k`, `N_RIGHT` above it.
+///
+/// The turn is arithmetic, not a branch, so an optimized build emits
+/// `setg` (or `cmov`) for it. With uniform keys each turn of a descent
+/// is a coin flip that a conditional jump mispredicts about every other
+/// level; as data it only lengthens the chain of dependent loads, since
+/// the next load waits for the key compare. Down a predictable path a
+/// predicted jump is cheaper, so only `get` and `remove` use this:
+/// `put` keeps its branches because inserts often come in key order
+/// (a map filled `0..n`, jbb's order ids), and `floor_key` keeps its
+/// because jbb asks it for the floor of `i64::MAX`.
+#[inline(always)]
+fn child_slot(key: i64, k: i64) -> u32 {
+    N_LEFT + u32::from(key > k)
+}
+
 /// A `java.util.TreeMap<long, long>` equivalent on the shadow heap.
 ///
 /// # Examples
@@ -99,7 +119,9 @@ impl JTreeMap {
 
     // ---- read-only operations -------------------------------------
 
-    /// Read-only lookup; descends the tree polling `ck` per step.
+    /// Read-only lookup; descends the tree polling `ck` per step. Each
+    /// turn is computed, not branched on; finding the key is the
+    /// descent's only data-dependent branch.
     ///
     /// # Errors
     ///
@@ -115,13 +137,10 @@ impl JTreeMap {
         while !n.is_null() {
             ck.checkpoint()?;
             let k = heap.load_i64(n, TNODE_CLASS, N_KEY)?;
-            n = match key.cmp(&k) {
-                std::cmp::Ordering::Less => heap.load_ref(n, TNODE_CLASS, N_LEFT)?,
-                std::cmp::Ordering::Greater => heap.load_ref(n, TNODE_CLASS, N_RIGHT)?,
-                std::cmp::Ordering::Equal => {
-                    return Ok(Some(heap.load_i64(n, TNODE_CLASS, N_VALUE)?))
-                }
-            };
+            if key == k {
+                return Ok(Some(heap.load_i64(n, TNODE_CLASS, N_VALUE)?));
+            }
+            n = heap.load_ref(n, TNODE_CLASS, child_slot(key, k))?;
         }
         Ok(None)
     }
@@ -360,6 +379,8 @@ impl JTreeMap {
             heap.store_i64(self.root_obj, F_SIZE, 1)?;
             return Ok(None);
         }
+        // Branches, not `child_slot`: down the rightmost path of an
+        // in-order fill they are always predicted.
         let parent;
         loop {
             let k = Self::key(heap, t)?;
@@ -477,11 +498,10 @@ impl JTreeMap {
         let mut p = self.tree_root(heap)?;
         while !p.is_null() {
             let k = Self::key(heap, p)?;
-            match key.cmp(&k) {
-                std::cmp::Ordering::Less => p = Self::left_of(heap, p)?,
-                std::cmp::Ordering::Greater => p = Self::right_of(heap, p)?,
-                std::cmp::Ordering::Equal => break,
+            if key == k {
+                break;
             }
+            p = heap.load_ref(p, TNODE_CLASS, child_slot(key, k))?;
         }
         if p.is_null() {
             return Ok(None);

@@ -15,13 +15,29 @@ enum Op {
     Get(i64),
 }
 
-// A small key space maximizes collisions and structural churn.
+impl Op {
+    fn key(&self) -> i64 {
+        match *self {
+            Op::Put(k, _) | Op::Remove(k) | Op::Get(k) => k,
+        }
+    }
+}
+
+// A small key space maximizes collisions and structural churn. The two
+// extremes put a tree descent's `key > k` turn at the edges of `i64`.
+fn gen_key(rng: &mut TestRng) -> i64 {
+    match rng.gen_range(-33i64..33) {
+        -33 => i64::MIN,
+        32 => i64::MAX,
+        k => k,
+    }
+}
+
 fn gen_op(rng: &mut TestRng) -> Op {
-    let key = |rng: &mut TestRng| rng.gen_range(-32i64..32);
     match rng.gen_range(0u32..3) {
-        0 => Op::Put(key(rng), rng.gen::<i64>()),
-        1 => Op::Remove(key(rng)),
-        _ => Op::Get(key(rng)),
+        0 => Op::Put(gen_key(rng), rng.gen::<i64>()),
+        1 => Op::Remove(gen_key(rng)),
+        _ => Op::Get(gen_key(rng)),
     }
 }
 
@@ -64,6 +80,7 @@ fn treemap_matches_std_model_and_invariants() {
         let mut model = std::collections::BTreeMap::new();
         let mut ck = NullCheckpoint;
         for op in ops {
+            let probe = op.key();
             match op {
                 Op::Put(k, v) => {
                     assert_eq!(map.put(&heap, k, v).unwrap(), model.insert(k, v));
@@ -76,6 +93,14 @@ fn treemap_matches_std_model_and_invariants() {
                 }
             }
             map.check_invariants(&heap).unwrap();
+            assert_eq!(
+                map.first_key(&heap, &mut ck).unwrap(),
+                model.keys().next().copied()
+            );
+            assert_eq!(
+                map.floor_key(&heap, probe, &mut ck).unwrap(),
+                model.range(..=probe).next_back().map(|(&k, _)| k)
+            );
         }
         let got = map.entries(&heap, &mut ck).unwrap();
         let want: Vec<_> = model.into_iter().collect();

@@ -219,6 +219,45 @@ impl Heap {
         Ok(h)
     }
 
+    /// Slot `idx` of the object `r`, bounds-checked against its header.
+    #[inline]
+    fn slot(&self, r: ObjRef, idx: u32) -> Result<&AtomicU64, Fault> {
+        self.slot_in(r, self.header(r)?, idx)
+    }
+
+    /// [`Heap::slot`], after checking that `r` is of class `expected`.
+    #[inline]
+    fn typed_slot(&self, r: ObjRef, expected: ClassId, idx: u32) -> Result<&AtomicU64, Fault> {
+        let h = self.header(r)?;
+        if h.class() != expected {
+            return Err(Fault::ClassCast {
+                expected: expected.raw() as u32,
+                found: h.class().raw() as u32,
+            });
+        }
+        self.slot_in(r, h, idx)
+    }
+
+    /// Slot `idx` of the object whose header `h` was read at `r`.
+    ///
+    /// A garbage handle can point into the middle of an object, at a
+    /// slot whose value decodes as a live header of any length, so the
+    /// header's bound does not keep the index inside the arena. The
+    /// checked `get` (the compare an index expression makes anyway)
+    /// turns that into [`Fault::StaleHandle`] instead of a panic.
+    #[inline]
+    fn slot_in(&self, r: ObjRef, h: Header, idx: u32) -> Result<&AtomicU64, Fault> {
+        if idx >= h.len() {
+            return Err(Fault::IndexOutOfBounds {
+                index: idx as i64,
+                len: h.len(),
+            });
+        }
+        self.mem
+            .get(r.0 as usize + 1 + idx as usize)
+            .ok_or(Fault::StaleHandle { handle: r.0 })
+    }
+
     /// The class of the object `r` refers to.
     ///
     /// # Errors
@@ -263,20 +302,7 @@ impl Heap {
     /// `expected`, or [`Fault::IndexOutOfBounds`].
     #[inline]
     pub fn load(&self, r: ObjRef, expected: ClassId, idx: u32) -> Result<u64, Fault> {
-        let h = self.header(r)?;
-        if h.class() != expected {
-            return Err(Fault::ClassCast {
-                expected: expected.raw() as u32,
-                found: h.class().raw() as u32,
-            });
-        }
-        if idx >= h.len() {
-            return Err(Fault::IndexOutOfBounds {
-                index: idx as i64,
-                len: h.len(),
-            });
-        }
-        Ok(self.mem[r.0 as usize + 1 + idx as usize].load(Ordering::Acquire))
+        Ok(self.typed_slot(r, expected, idx)?.load(Ordering::Acquire))
     }
 
     /// Load without a class check (for code that just read the class).
@@ -287,14 +313,7 @@ impl Heap {
     /// [`Fault::IndexOutOfBounds`].
     #[inline]
     pub fn load_untyped(&self, r: ObjRef, idx: u32) -> Result<u64, Fault> {
-        let h = self.header(r)?;
-        if idx >= h.len() {
-            return Err(Fault::IndexOutOfBounds {
-                index: idx as i64,
-                len: h.len(),
-            });
-        }
-        Ok(self.mem[r.0 as usize + 1 + idx as usize].load(Ordering::Acquire))
+        Ok(self.slot(r, idx)?.load(Ordering::Acquire))
     }
 
     /// Writer-side store into slot `idx`. Callers synchronize via the
@@ -308,14 +327,7 @@ impl Heap {
     /// program errors.
     #[inline]
     pub fn store(&self, r: ObjRef, idx: u32, value: u64) -> Result<(), Fault> {
-        let h = self.header(r)?;
-        if idx >= h.len() {
-            return Err(Fault::IndexOutOfBounds {
-                index: idx as i64,
-                len: h.len(),
-            });
-        }
-        self.mem[r.0 as usize + 1 + idx as usize].store(value, Ordering::Release);
+        self.slot(r, idx)?.store(value, Ordering::Release);
         Ok(())
     }
 
@@ -333,20 +345,7 @@ impl Heap {
     /// Same as [`Heap::load`].
     #[inline]
     pub fn load_plain(&self, r: ObjRef, expected: ClassId, idx: u32) -> Result<u64, Fault> {
-        let h = self.header(r)?;
-        if h.class() != expected {
-            return Err(Fault::ClassCast {
-                expected: expected.raw() as u32,
-                found: h.class().raw() as u32,
-            });
-        }
-        if idx >= h.len() {
-            return Err(Fault::IndexOutOfBounds {
-                index: idx as i64,
-                len: h.len(),
-            });
-        }
-        Ok(self.mem[r.0 as usize + 1 + idx as usize].load(Ordering::Relaxed))
+        Ok(self.typed_slot(r, expected, idx)?.load(Ordering::Relaxed))
     }
 
     /// Plain-mode store into slot `idx` — the model of an ordinary
@@ -359,14 +358,7 @@ impl Heap {
     /// Same as [`Heap::store`].
     #[inline]
     pub fn store_plain(&self, r: ObjRef, idx: u32, value: u64) -> Result<(), Fault> {
-        let h = self.header(r)?;
-        if idx >= h.len() {
-            return Err(Fault::IndexOutOfBounds {
-                index: idx as i64,
-                len: h.len(),
-            });
-        }
-        self.mem[r.0 as usize + 1 + idx as usize].store(value, Ordering::Relaxed);
+        self.slot(r, idx)?.store(value, Ordering::Relaxed);
         Ok(())
     }
 
@@ -383,14 +375,7 @@ impl Heap {
     /// [`Fault::IndexOutOfBounds`].
     #[inline]
     pub fn slot_atomic(&self, r: ObjRef, idx: u32) -> Result<&AtomicU64, Fault> {
-        let h = self.header(r)?;
-        if idx >= h.len() {
-            return Err(Fault::IndexOutOfBounds {
-                index: idx as i64,
-                len: h.len(),
-            });
-        }
-        Ok(&self.mem[r.0 as usize + 1 + idx as usize])
+        self.slot(r, idx)
     }
 
     /// The monitor-table identity for a compact lock living in slot
@@ -575,6 +560,27 @@ mod tests {
         let _ = h.alloc(A, 2).unwrap();
         let wild = ObjRef::from_raw(1_000_000);
         assert!(matches!(h.load(wild, A, 0), Err(Fault::StaleHandle { .. })));
+    }
+
+    #[test]
+    fn handle_into_an_object_past_the_arena_is_stale_not_a_panic() {
+        let h = Heap::new(64);
+        let o = h.alloc(A, 4).unwrap();
+        // Slot 1 holds a value that decodes as a live header of class A
+        // with a length far past the arena's end.
+        h.store(o, 1, Header::new(A, 1_000_000, 0).0).unwrap();
+        let mid = ObjRef::from_raw(o.raw() + 2);
+        let stale = Some(Fault::StaleHandle { handle: mid.raw() });
+        assert_eq!(h.class_of(mid), Ok(A), "the slot passes the header checks");
+        assert_eq!(h.load(mid, A, 100).err(), stale);
+        assert_eq!(h.load_untyped(mid, 100).err(), stale);
+        assert_eq!(h.load_plain(mid, A, 100).err(), stale);
+        assert_eq!(h.store(mid, 100, 7).err(), stale);
+        assert_eq!(h.store_plain(mid, 100, 7).err(), stale);
+        assert_eq!(h.slot_atomic(mid, 100).err(), stale);
+        assert_eq!(h.lock_key(mid, 100).err(), stale);
+        // An index inside the arena still reads the slot it names.
+        assert_eq!(h.load(mid, A, 0), Ok(0));
     }
 
     #[test]

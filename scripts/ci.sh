@@ -32,9 +32,11 @@ cargo test -q --offline --workspace --no-fail-fast
 # profile proves they still fire with debug assertions compiled out.
 # The stripe property test runs here too: racing bumps, which are what
 # expose two writers on one read stripe, are more frequent in an
-# optimized build.
-echo "== tier-1: release-profile runtime asserts (recursion bounds, read stripes) =="
+# optimized build. So do the collections model tests: only an optimized
+# build turns a TreeMap descent's left/right choice into `setg`/`cmov`.
+echo "== tier-1: release-profile runtime asserts (recursion bounds, read stripes, tree turns) =="
 cargo test -q --offline --release -p solero-runtime --lib --test stats_stripes_props
+cargo test -q --offline --release -p solero-collections --test model_based
 
 echo "== tier-1: bench targets compile behind the criterion feature =="
 cargo build -q --offline -p solero-bench --benches --features criterion
