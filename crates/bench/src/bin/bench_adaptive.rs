@@ -47,7 +47,7 @@ fn run_strategy(cfg: BurstyConfig, seed: u64, make: fn() -> BoxedStrategy) -> Ve
 }
 
 fn main() {
-    let args = Args::parse("BENCH_adaptive.json", Some(0x5EED_ADA7));
+    let args = Args::parse("BENCH_adaptive.json", Some(0x5EED_ADA7), &[]);
     let seed = args.seed.expect("bench_adaptive takes a seed");
     let cfg = if args.quick {
         BurstyConfig::quick()

@@ -38,7 +38,7 @@ fn run_cell<L: RawRwLock>(threads: usize, total: u64) -> Cell {
 }
 
 fn main() {
-    let args = Args::parse("BENCH_bravo.json", None);
+    let args = Args::parse("BENCH_bravo.json", None, &[]);
     // 64 threads must divide the budget evenly.
     let total: u64 = if args.quick { 64 * 1_000 } else { 64 * 100_000 };
     let repeats = if args.quick { 1 } else { 7 };

@@ -183,7 +183,7 @@ fn run_solero_reads(threads: usize, total: u64) -> Cell {
 }
 
 fn main() {
-    let args = Args::parse("BENCH_compact.json", None);
+    let args = Args::parse("BENCH_compact.json", None, &[]);
     let objects: usize = if args.quick { 50_000 } else { 2_000_000 };
     let reads: u64 = if args.quick { 4 * 4_000 } else { 4 * 200_000 };
     let repeats = if args.quick { 1 } else { 5 };

@@ -110,7 +110,7 @@ fn run_storm(total: u64) -> Cell {
 }
 
 fn main() {
-    let args = Args::parse("BENCH_seqlock.json", None);
+    let args = Args::parse("BENCH_seqlock.json", None, &[]);
     // 16 threads must divide both budgets evenly.
     let reads: u64 = if args.quick { 16 * 4_000 } else { 16 * 200_000 };
     let storm_ops: u64 = if args.quick { 16 * 250 } else { 16 * 4_000 };

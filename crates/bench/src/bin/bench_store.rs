@@ -120,7 +120,7 @@ fn run_cell(sh: &Shape, make: fn() -> solero::BoxedStrategy) -> Cell {
 }
 
 fn main() {
-    let args = Args::parse("BENCH_store.json", None);
+    let args = Args::parse("BENCH_store.json", None, &[]);
     let sh = shape(args.quick);
 
     eprintln!(

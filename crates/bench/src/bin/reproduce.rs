@@ -1,70 +1,34 @@
-//! `reproduce` — regenerate the paper's tables and figures.
+//! `reproduce` — regenerate the paper's tables and figures as one
+//! record.
 //!
 //! ```text
-//! reproduce [--quick] [table1|fig10|...|fig16|ablations|all]...
+//! reproduce [--quick] [--out PATH] [table1|fig10|...|fig16|ablations|latency|all]...
 //! ```
 //!
-//! Prints each experiment as an aligned text table and writes a CSV per
-//! table into `results/`.
-
-use std::path::PathBuf;
+//! Measures every cell the named targets need, each once (no target, or
+//! `all`, names every one), prints each target's tables from those
+//! cells, and writes them through `solero_bench::record` to
+//! `BENCH_paper.json` unless `--out` says otherwise.
 
 use solero_bench::figures::{self, HarnessConfig};
-use solero_bench::report::Table;
-
-fn emit(tables: &[Table], dir: &PathBuf, stem: &str) {
-    for (i, t) in tables.iter().enumerate() {
-        print!("{}", t.render());
-        let name = if tables.len() == 1 {
-            format!("{stem}.csv")
-        } else {
-            format!("{stem}_{}.csv", (b'a' + i as u8) as char)
-        };
-        if let Err(e) = t.write_csv(dir, &name) {
-            eprintln!("warning: could not write {name}: {e}");
-        }
-    }
-}
+use solero_bench::record::Args;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut targets: Vec<String> = args
-        .into_iter()
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = [
-            "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-            "ablations", "latency",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-    let h = HarnessConfig { quick };
-    let dir = PathBuf::from("results");
-    println!(
-        "SOLERO reproduction harness ({} protocol); results CSVs in {}/",
-        if quick { "quick" } else { "paper" },
-        dir.display()
-    );
-    for t in &targets {
-        match t.as_str() {
-            "table1" => emit(&[figures::table1(&h)], &dir, "table1"),
-            "fig10" => emit(&[figures::fig10(&h)], &dir, "fig10"),
-            "fig11" => emit(&[figures::fig11(&h)], &dir, "fig11"),
-            "fig12" => emit(&figures::fig12(&h), &dir, "fig12"),
-            "fig13" => emit(&figures::fig13(&h), &dir, "fig13"),
-            "fig14" => emit(&[figures::fig14(&h)], &dir, "fig14"),
-            "fig15" => emit(&figures::fig15(&h), &dir, "fig15"),
-            "fig16" => emit(&[figures::fig16(&h)], &dir, "fig16"),
-            "latency" => emit(&[figures::latency(&h)], &dir, "latency"),
-            "ablations" => {
-                emit(&[figures::ablation_fallback(&h)], &dir, "ablation_fallback");
-                emit(&[figures::ablation_checkpoint(&h)], &dir, "ablation_checkpoint");
-            }
-            other => eprintln!("unknown target: {other}"),
+    let names: Vec<&str> = figures::targets().chain(["all"]).collect();
+    let args = Args::parse("BENCH_paper.json", None, &names);
+    let targets: Vec<&str> = if args.names.is_empty() || args.names.iter().any(|n| n == "all") {
+        figures::targets().collect()
+    } else {
+        args.names.iter().map(String::as_str).collect()
+    };
+    let h = HarnessConfig { quick: args.quick };
+    let rec = figures::record(&targets, &h);
+    for name in &targets {
+        let tables = figures::render(name, &h, &rec.cells)
+            .unwrap_or_else(|e| panic!("{name} does not render from its own cells: {e}"));
+        for t in tables {
+            print!("{}", t.render());
         }
     }
+    rec.save(&args.out);
 }

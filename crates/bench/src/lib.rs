@@ -1,15 +1,14 @@
-//! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation section.
+//! Benchmark harness: the paper's evaluation and the extension
+//! benches, each written as a `BENCH_*.json` record.
 //!
-//! * [`figures`] — one generator per table/figure (Table 1, Figures
-//!   10–16), each returning renderable [`report::Table`]s;
-//! * [`report`] — aligned text tables + CSV output under `results/`;
-//! * [`record`] — the `BENCH_*.json` records the `bench_*` bins write,
-//!   and the timer, best-of-N and command line they share;
-//! * the `reproduce` binary drives them (`reproduce --quick all`);
-//! * the Criterion benches (`cargo bench`) cover the micro costs:
-//!   lock-word operations, the empty critical section, and
-//!   single-thread map lookups per strategy.
+//! * [`figures`] — Table 1, Figures 10–16, two ablations and a latency
+//!   experiment, each the cells it needs plus its tables rendered from
+//!   cells; the `reproduce` binary measures each cell once and writes
+//!   them all to `BENCH_paper.json` (`reproduce --quick all`);
+//! * [`report`] — aligned text tables;
+//! * [`record`] — the `BENCH_*.json` records `reproduce` and the
+//!   `bench_*` bins write, and the timer, best-of-N and command line
+//!   they share.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -296,8 +296,9 @@ fn numbers_of(o: &BTreeMap<String, Value>, key: &str) -> Result<BTreeMap<String,
     m.keys().map(|k| Ok((k.clone(), number(m, k)?))).collect()
 }
 
-/// A `bench_*` bin's command line: `[--quick] [--out PATH]`, plus
-/// `[--seed N]` for a bin that takes a seed.
+/// A bench bin's command line: `[--quick] [--out PATH]`, plus
+/// `[--seed N]` for a bin that takes a seed and positional names for a
+/// bin that takes them (`reproduce`'s targets).
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Run the abbreviated sizes.
@@ -307,27 +308,36 @@ pub struct Args {
     /// `--seed`, else `SOLERO_TESTKIT_SEED`, else the bin's default;
     /// `None` for a bin without a seed.
     pub seed: Option<u64>,
+    /// The positional arguments, in order, each one of the bin's names.
+    pub names: Vec<String>,
 }
 
 impl Args {
     /// Parses the process's arguments, exiting with a usage line on an
     /// unknown or malformed one. The record is written to `default_out`
     /// unless `--out` says otherwise; `--seed` is accepted only when
-    /// `default_seed` is given.
-    pub fn parse(default_out: &str, default_seed: Option<u64>) -> Args {
+    /// `default_seed` is given, and a positional argument only when it
+    /// is one of `names`.
+    pub fn parse(default_out: &str, default_seed: Option<u64>, names: &[&str]) -> Args {
         let usage = |why: String| -> ! {
             let seed = if default_seed.is_some() {
                 " [--seed N]"
             } else {
                 ""
             };
-            eprintln!("{why}\nusage: [--quick] [--out PATH]{seed}");
+            let names = if names.is_empty() {
+                String::new()
+            } else {
+                format!(" [{}]...", names.join("|"))
+            };
+            eprintln!("{why}\nusage: [--quick] [--out PATH]{seed}{names}");
             std::process::exit(2)
         };
         let mut args = Args {
             quick: false,
             out: PathBuf::from(default_out),
             seed: default_seed.map(seed_override),
+            names: Vec::new(),
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -343,6 +353,7 @@ impl Args {
                         None => usage("--seed takes a u64".into()),
                     }
                 }
+                name if names.contains(&name) => args.names.push(name.to_string()),
                 other => usage(format!("unknown argument {other:?}")),
             }
         }

@@ -1,9 +1,8 @@
-//! Plain-text tables and CSV output for the reproduction harness.
+//! Plain-text tables for the reproduction harness.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
-/// A simple aligned text table that can also serialize itself as CSV.
+/// A simple aligned text table.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
@@ -67,41 +66,6 @@ impl Table {
         }
         out
     }
-
-    /// CSV form (header + rows).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",")
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
-    /// Writes the CSV next to the other results.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from creating the directory or writing the file.
-    pub fn write_csv(&self, dir: &Path, name: &str) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(name), self.to_csv())
-    }
 }
 
 /// Formats a float with 3 significant digits of padding for tables.
@@ -136,14 +100,6 @@ mod tests {
         assert!(s.contains("== Demo =="));
         assert!(s.contains("long-name"));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["x,y".into(), "z".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
     }
 
     #[test]

@@ -17,9 +17,6 @@
 //!   concurrency harness: named threads, barrier-phased rounds,
 //!   per-worker seeds derived from one root seed, and a bounded-time
 //!   watchdog;
-//! * [`bench`](mod@bench) — a criterion-compatible `Instant`-based
-//!   timing loop for the micro-bench targets (statistical mode behind
-//!   the off-by-default `criterion` feature);
 //! * [`pad`] — [`pad::CachePadded`] for per-thread counters.
 //!
 //! Reproduction workflow: every failure message prints a root seed;
@@ -33,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod pad;
 pub mod prop;
 pub mod rng;

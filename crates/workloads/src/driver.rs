@@ -7,10 +7,10 @@
 //! scheduling noise); the reported score is the **average of the bests**
 //! across runs.
 //!
-//! A [`Measurement`] carries the lock counters of its measured windows;
-//! `StatsSnapshot::to_jsonl` writes them as a line of the per-lock
-//! counter export (the `obs_smoke` binary does this for the strategy
-//! fleet).
+//! A [`Measurement`] carries the operations and lock counters of its
+//! measured windows; `StatsSnapshot::to_jsonl` writes the counters as a
+//! line of the per-lock counter export (the `obs_smoke` binary does
+//! this for the strategy fleet).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -64,6 +64,8 @@ impl RunConfig {
 pub struct Measurement {
     /// Operations per second (average of per-run best windows).
     pub ops_per_sec: f64,
+    /// Operations completed over every measured window.
+    pub ops: u64,
     /// Lock statistics accumulated over every measured window.
     pub stats: StatsSnapshot,
     /// Total measured time behind `stats` (for frequency computations).
@@ -91,16 +93,19 @@ where
     F: Fn(usize, &mut TestRng) + Sync,
 {
     let mut best_sum = 0.0;
+    let mut ops = 0;
     let mut stats_acc = StatsSnapshot::default();
     let mut measured_secs = 0.0;
     for run in 0..cfg.runs {
-        let (best, st, secs) = one_run(cfg, &op, &stats, run as u64);
+        let (best, n, st, secs) = one_run(cfg, &op, &stats, run as u64);
         best_sum += best;
+        ops += n;
         stats_acc = stats_acc.merge(&st);
         measured_secs += secs;
     }
     Measurement {
         ops_per_sec: best_sum / cfg.runs as f64,
+        ops,
         stats: stats_acc,
         // Actual wall time of the measured windows, not the configured
         // window length: sleeps only promise a *lower* bound, and the
@@ -116,7 +121,7 @@ fn one_run<F>(
     op: &F,
     stats: &impl Fn() -> StatsSnapshot,
     seed_base: u64,
-) -> (f64, StatsSnapshot, f64)
+) -> (f64, u64, StatsSnapshot, f64)
 where
     F: Fn(usize, &mut TestRng) + Sync,
 {
@@ -125,6 +130,7 @@ where
         .map(|_| CachePadded::new(AtomicU64::new(0)))
         .collect();
     let mut best = 0.0f64;
+    let mut ops = 0u64;
     let mut stats_delta = StatsSnapshot::default();
     let mut measured_secs = 0.0f64;
     std::thread::scope(|s| {
@@ -159,6 +165,7 @@ where
             let count1: u64 = counters.iter().map(|c| c.load(Ordering::Relaxed)).sum();
             let dt = t0.elapsed().as_secs_f64();
             measured_secs += dt;
+            ops += count1 - count0;
             let rate = (count1 - count0) as f64 / dt;
             if rate > best {
                 best = rate;
@@ -167,7 +174,7 @@ where
         stats_delta = stats().since(&stats_before);
         running.store(false, Ordering::Relaxed);
     });
-    (best, stats_delta, measured_secs)
+    (best, ops, stats_delta, measured_secs)
 }
 
 #[cfg(test)]
@@ -194,7 +201,9 @@ mod tests {
         );
         assert!(m.ops_per_sec > 1000.0, "{}", m.ops_per_sec);
         assert!(m.ns_per_op() < 1e6);
-        assert!(total.load(Ordering::Relaxed) > 0);
+        // The windows count only what ran inside them.
+        let done = total.load(Ordering::Relaxed);
+        assert!(m.ops > 0 && m.ops <= done, "{} of {done}", m.ops);
     }
 
     #[test]
@@ -238,6 +247,7 @@ mod tests {
     fn zero_rate_yields_infinite_ns() {
         let m = Measurement {
             ops_per_sec: 0.0,
+            ops: 0,
             stats: StatsSnapshot::default(),
             measured_secs: 1.0,
         };

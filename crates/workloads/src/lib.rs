@@ -18,7 +18,6 @@
 //!   Zipfian key sampler and the coordinated-omission-safe open-loop
 //!   driver for the `solero-store` MVCC snapshot store
 //!   (`BENCH_store.json`);
-//! * [`table1`] — the lock-statistics table itself;
 //! * [`driver`] — the §4.1 best-of-windows, average-of-runs throughput
 //!   protocol.
 //!
@@ -50,5 +49,4 @@ pub mod jbb;
 pub mod latency;
 pub mod maps;
 pub mod openloop;
-pub mod table1;
 pub mod zipf;

@@ -2,7 +2,7 @@
 # Canonical tier-1 entry point: hermetic build + test, fully offline.
 #
 # The workspace has zero registry dependencies (solero-testkit replaces
-# rand/proptest/criterion/crossbeam/parking_lot in-tree), so everything
+# rand/proptest/crossbeam/parking_lot in-tree), so everything
 # below must succeed on a machine with no crates.io access at all.
 # `--offline` is not a convenience here — it is the property under test.
 #
@@ -37,9 +37,6 @@ cargo test -q --offline --workspace --no-fail-fast
 echo "== tier-1: release-profile runtime asserts (recursion bounds, read stripes, tree turns) =="
 cargo test -q --offline --release -p solero-runtime --lib --test stats_stripes_props
 cargo test -q --offline --release -p solero-collections --test model_based
-
-echo "== tier-1: bench targets compile behind the criterion feature =="
-cargo build -q --offline -p solero-bench --benches --features criterion
 
 # The per-lock counter export needs no feature: obs_smoke writes the
 # fleet's measured snapshots, and obs_check reads every line back with
@@ -222,6 +219,14 @@ for bench in adaptive bravo store seqlock compact; do
         --quick --out "results/BENCH_${bench}_quick.json" 2> /dev/null
     test -s "results/BENCH_${bench}_quick.json"
 done
+
+# The paper's evaluation (checked in as BENCH_paper.json): a quick run
+# of every target measures each cell once, renders every table from the
+# cells, and fails unless the record reads back.
+echo "== tier-1: reproduce record smoke (quick all) =="
+cargo run -q --offline -p solero-bench --bin reproduce -- \
+    --quick all --out results/BENCH_paper_quick.json > /dev/null 2> /dev/null
+test -s results/BENCH_paper_quick.json
 
 # The benchmark (perfbench/, a workspace of its own on path
 # dependencies) checks the library from outside: its unit tests, the
